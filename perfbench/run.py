@@ -2,7 +2,7 @@
 """Repository benchmark: host run/setup time, memory and paper fidelity.
 
     python3 perfbench/run.py --workload dense_paper --seed 1 \
-        --seconds 10 --trace 0
+        --seconds 20 --trace 0
 
 Builds the simulator and the perfbench binary in Release (under
 $CARGO_TARGET_DIR, default .bench_build, never touching the top-level
@@ -78,13 +78,15 @@ def run_binary(exe, args):
     cmd = [exe, f"--workload={args.workload}", f"--seed={args.seed}",
            f"--seconds={args.seconds}",
            f"--mode={'layers' if args.trace else 'e2e'}",
-           f"--size={args.size}", f"--perturb={int(args.perturb)}"]
+           f"--size={args.size}"]
     try:
         proc = subprocess.run(cmd, stdout=subprocess.PIPE, text=True,
                               cwd=ROOT, timeout=RUN_TIMEOUT_S)
     except subprocess.TimeoutExpired:
         sys.exit(f"perfbench: binary exceeded {RUN_TIMEOUT_S}s")
     if proc.returncode != 0:
+        # A NEUMMU_ASSERT or NEUMMU_FATAL ends the whole process, so it
+        # cannot be counted per job; the run fails instead.
         sys.exit(f"perfbench: binary exited with {proc.returncode}")
     return json.loads(proc.stdout)
 
@@ -98,7 +100,12 @@ def ratio(num, den):
 
 
 def paper_fidelity(cells, job):
-    """Mean NeuMMU overhead over the oracle across the dense models."""
+    """Mean NeuMMU overhead over the oracle across the dense models.
+
+    Returns (rows, mean_pct, gap_pp), or None without a finished job.
+    """
+    if job is None:
+        return None
     cycles = dict(zip((c["id"] for c in cells), job["cycles"]))
     rows = []
     for cid in cycles:
@@ -114,19 +121,21 @@ def paper_fidelity(cells, job):
 def gate(doc):
     """Count failed jobs: errors, unfinished work, counter drift.
 
-    Every job of a workload must reproduce the first untraced job's
-    stats digest (the profiled and traced passes too, since both
+    Every job of a workload must reproduce the first finished untraced
+    job's stats digest (the profiled and traced passes too, since both
     switches are observational); the sharded passes form their own
-    machine and must agree with each other across shard counts.
+    machine and must agree with each other across shard counts. A
+    failed job's partial digest is never a reference.
     """
     failures = []
     refs = {}
     for i, job in enumerate(doc["jobs"]):
         group = "sharded" if job["pass"].startswith("shards") else "serial"
-        ref = refs.setdefault(group, job["digest"])
         if not job["ok"]:
             failures.append(f"job {i} ({job['pass']}): {job['error']}")
-        elif job["digest"] != ref:
+            continue
+        ref = refs.setdefault(group, job["digest"])
+        if job["digest"] != ref:
             failures.append(f"job {i} ({job['pass']}): stats digest "
                             f"{job['digest']} != {ref}")
     for job in doc["fidelity_job"]:
@@ -135,38 +144,48 @@ def gate(doc):
     return failures
 
 
+def finished(jobs):
+    """The jobs that ran every cell; only these carry metrics."""
+    return [j for j in jobs if j["ok"]]
+
+
 def end_to_end(doc):
-    timed = [j for j in doc["jobs"] if not j["warmup"]]
+    ok = finished(doc["jobs"])
+    timed = [j for j in ok if not j["warmup"]]
     if doc["workload"] == "dense_paper":
-        cells, job = doc["cells"], doc["jobs"][0]
+        cells, refs = doc["cells"], ok
     else:
-        cells, job = doc["fidelity_cells"], doc["fidelity_job"][0]
-    rows, mean_pct, gap = paper_fidelity(cells, job)
-    print(f"paper fidelity: NeuMMU overhead {mean_pct:.4f}% vs paper "
-          f"{PAPER_NEUMMU_OVERHEAD_PCT}% over {len(rows)} cells:")
-    for model, oracle, neummu, pct in rows:
-        print(f"  {model:6s} oracle {oracle:>10d}  neummu {neummu:>10d}  "
-              f"overhead {pct:.4f}%")
+        cells, refs = doc["fidelity_cells"], finished(doc["fidelity_job"])
+    fidelity = paper_fidelity(cells, refs[0] if refs else None)
+    extra = {"samples": len(timed)}
+    gap = None
+    if fidelity is None:
+        print("paper fidelity: absent (no finished dense job)")
+    else:
+        rows, mean_pct, gap = fidelity
+        print(f"paper fidelity: NeuMMU overhead {mean_pct:.4f}% vs paper "
+              f"{PAPER_NEUMMU_OVERHEAD_PCT}% over {len(rows)} cells:")
+        for model, oracle, neummu, pct in rows:
+            print(f"  {model:6s} oracle {oracle:>10d}  neummu {neummu:>10d}"
+                  f"  overhead {pct:.4f}%")
+        extra["paper"] = {
+            "neummu_overhead_pct": mean_pct,
+            "paper_overhead_pct": PAPER_NEUMMU_OVERHEAD_PCT,
+            "cells": [dict(zip(("model", "oracle_cycles", "neummu_cycles",
+                                "overhead_pct"), r)) for r in rows]}
     values = {
         "run_s": median([j["run_s"] for j in timed]),
         "setup_s": median([j["bind_s"] + j["system_s"] + j["place_s"]
                            for j in timed]),
-        "peak_rss_mb": doc["peak_rss_mb"],
+        "peak_rss_mb": doc["peak_rss_mb"] if timed else None,
         "paper_gap_pp": gap,
     }
-    extra = {"paper": {"neummu_overhead_pct": mean_pct,
-                       "paper_overhead_pct": PAPER_NEUMMU_OVERHEAD_PCT,
-                       "cells": [dict(zip(("model", "oracle_cycles",
-                                           "neummu_cycles",
-                                           "overhead_pct"), r))
-                                 for r in rows]},
-             "samples": len(timed)}
     return values, extra
 
 
 def per_layer(doc):
     passes = {}
-    for j in doc["jobs"]:
+    for j in finished(doc["jobs"]):
         passes.setdefault(j["pass"], []).append(j)
     plain = passes.get("plain", [])
     prof = passes.get("profiled", [])
@@ -192,15 +211,20 @@ def per_layer(doc):
     def c(name):
         return count(plain, name)
 
+    def total(*names):
+        vals = [c(n) for n in names]
+        return None if None in vals else sum(vals)
+
     events = c("events")
     paging = bool(c("paging_cells"))
     serving = bool(c("serving_cells"))
     plain_run = median([j["run_s"] for j in plain])
     v = {
         "sim.events": events,
-        "sim.ns_per_event": per(plain, lambda j: j["run_s"] * 1e9 / events),
+        "sim.ns_per_event": per(plain,
+                                lambda j: ratio(j["run_s"] * 1e9, events)),
         "sim.kernel_self_ns_per_event":
-            per(prof, lambda j: j["prof"]["kernel"][1] / events),
+            per(prof, lambda j: ratio(j["prof"]["kernel"][1], events)),
         "sim.train_inlined_frac": ratio(c("train_sub_inlined"), events),
         "sim.same_tick_shortcut_frac": ratio(c("same_tick_shortcuts"),
                                              events),
@@ -212,7 +236,7 @@ def per_layer(doc):
         "mmu.walk_ns_per_call": ns_per_call("mmuWalk"),
         "mmu.respond_ns_per_call": ns_per_call("mmuRespond"),
         "mmu.tlb_hit_frac": ratio(c("tlb_hits"),
-                                  c("tlb_hits") + c("tlb_misses")),
+                                  total("tlb_hits", "tlb_misses")),
         "mmu.register_hit_frac": ratio(c("register_hits"),
                                        c("mmu_requests")),
         "mmu.walk_cache_hit_frac": ratio(c("walk_cache_hits"),
@@ -228,7 +252,8 @@ def per_layer(doc):
         "setup.place_s": median([j["place_s"] for j in plain]),
         "trace.spans": count(traced, "trace_spans"),
         "trace.overhead_frac": (median([j["run_s"] for j in traced])
-                                / plain_run - 1.0) if traced else None,
+                                / plain_run - 1.0)
+                               if traced and plain_run else None,
     }
     translations = count(traced, "traced_translations")
     for stage in ("walk", "prmb_merge", "queue_delay", "fault"):
@@ -331,12 +356,10 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--workload", required=True, choices=WORKLOADS)
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--seconds", type=float, default=10)
+    ap.add_argument("--seconds", type=float, default=20)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     ap.add_argument("--size", choices=("full", "tiny"), default="full",
                     help="tiny: a seconds-long smoke size for tests")
-    ap.add_argument("--perturb", action="store_true",
-                    help="corrupt one job's digest (gate self-test)")
     args = ap.parse_args()
 
     end_to_end_decl, per_layer_decl = load_declared()

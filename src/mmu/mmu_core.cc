@@ -266,6 +266,7 @@ MmuCore::respondAt(Tick when, const TranslationResponse &resp)
         // response is still on the wire.
         _pendingResp.insert(vpnOf(resp.va), 0u).first++;
         _eq.schedule(when, [this, resp] {
+            NEUMMU_PROF_SCOPE(_eq.profiler(), ProfSubsystem::MmuRespond);
             unsigned *pending = _pendingResp.find(vpnOf(resp.va));
             NEUMMU_ASSERT(pending, "pending-response tracking lost");
             if (--*pending == 0)

@@ -1,7 +1,5 @@
 #include "vm/page_table.hh"
 
-#include <vector>
-
 #include "common/logging.hh"
 
 namespace neummu {
@@ -11,8 +9,8 @@ struct PageTable::Entry
 {
     bool valid = false;
     bool leaf = false;
-    /** Child node (interior) -- owned by the parent node. */
-    std::unique_ptr<Node> child;
+    /** Child node (interior); owned by the PageTable's arena. */
+    Node *child = nullptr;
     /** Physical frame base (leaf). */
     Addr frame = invalidAddr;
 };
@@ -29,7 +27,7 @@ struct PageTable::Node
 PageTable::PageTable(FrameAllocator &node_allocator)
     : _alloc(node_allocator)
 {
-    _root = std::unique_ptr<Node>(allocNode());
+    _root = allocNode();
 }
 
 PageTable::~PageTable() = default;
@@ -37,9 +35,19 @@ PageTable::~PageTable() = default;
 PageTable::Node *
 PageTable::allocNode()
 {
-    auto *node = new Node();
-    node->pa = _alloc.allocate(pageSize(smallPageShift),
-                               pageSize(smallPageShift));
+    const Addr pa = _alloc.allocate(pageSize(smallPageShift),
+                                    pageSize(smallPageShift));
+    // A node is reclaimed only once live hits 0, so a free-listed one
+    // already has every entry invalid with no child: no re-zeroing.
+    Node *node;
+    if (!_freeNodes.empty()) {
+        node = _freeNodes.back();
+        _freeNodes.pop_back();
+    } else {
+        _arena.push_back(std::make_unique<Node>());
+        node = _arena.back().get();
+    }
+    node->pa = pa;
     return node;
 }
 
@@ -63,7 +71,7 @@ PageTable::map(Addr va, Addr pa, unsigned page_shift)
     // 2 MB pages terminate at L2 (level index 2), 4 KB pages at L1.
     const unsigned leaf_level = (page_shift == largePageShift) ? 2 : 1;
 
-    Node *node = _root.get();
+    Node *node = _root;
     for (unsigned level = pageTableLevels; level > leaf_level; level--) {
         Entry &e = node->entries[radixIndex(va, level)];
         NEUMMU_ASSERT(!(e.valid && e.leaf),
@@ -71,10 +79,10 @@ PageTable::map(Addr va, Addr pa, unsigned page_shift)
         if (!e.valid) {
             e.valid = true;
             e.leaf = false;
-            e.child = std::unique_ptr<Node>(allocNode());
+            e.child = allocNode();
             node->live++;
         }
-        node = e.child.get();
+        node = e.child;
     }
 
     Entry &leaf = node->entries[radixIndex(va, leaf_level)];
@@ -91,32 +99,42 @@ UnmapResult
 PageTable::unmap(Addr va)
 {
     UnmapResult res;
-    res.path = walk(va);
-    if (!res.path.valid)
-        return res;
-    res.unmapped = true;
-    res.pageShift = res.path.pageShift;
-    res.frame = res.path.pa & ~pageOffsetMask(res.path.pageShift);
+    // The walk cache only ever holds a mapped page, so a hit here is
+    // the hit a pre-unmap walk() would have counted.
+    if ((va >> smallPageShift) == _cachedVpn)
+        _walkCacheHits++;
 
-    // Re-descend recording the node chain so empty interiors can be
-    // reclaimed bottom-up once the leaf is gone.
+    // One descent records the walk path and the node chain, so empty
+    // interiors can be reclaimed bottom-up once the leaf is gone.
+    WalkResult &path = res.path;
     std::array<Node *, pageTableLevels> chain{};
     std::array<unsigned, pageTableLevels> idx{};
-    Node *node = _root.get();
+    Node *node = _root;
     unsigned depth = 0;
     for (unsigned level = pageTableLevels; level >= 1; level--) {
         const unsigned i = radixIndex(va, level);
+        path.nodePa[depth] = node->pa;
+        path.entryPa[depth] = node->pa + Addr(i) * 8;
         chain[depth] = node;
         idx[depth] = i;
-        depth++;
-        Entry &e = node->entries[i];
-        if (e.leaf)
+        path.levels = ++depth;
+        const Entry &e = node->entries[i];
+        if (!e.valid)
+            return res; // invalid: levels reflects steps taken
+        if (e.leaf) {
+            path.valid = true;
+            path.pageShift = (level == 2) ? largePageShift : smallPageShift;
+            path.pa = e.frame | (va & pageOffsetMask(path.pageShift));
             break;
-        node = e.child.get();
+        }
+        node = e.child;
     }
+    NEUMMU_ASSERT(path.valid, "page-table unmap ran past L1 without a leaf");
+    res.unmapped = true;
+    res.pageShift = path.pageShift;
 
     Entry &leaf = chain[depth - 1]->entries[idx[depth - 1]];
-    NEUMMU_ASSERT(leaf.valid && leaf.leaf, "unmap lost the leaf");
+    res.frame = leaf.frame;
     leaf.valid = false;
     leaf.leaf = false;
     leaf.frame = invalidAddr;
@@ -124,7 +142,7 @@ PageTable::unmap(Addr va)
     _mappedPages--;
 
     // Reclaim emptied interior nodes (never the root): free the
-    // backing frame and drop the parent's entry.
+    // backing frame, park the node, and drop the parent's entry.
     for (unsigned step = depth - 1; step >= 1; step--) {
         Node *n = chain[step];
         if (n->live != 0)
@@ -132,13 +150,12 @@ PageTable::unmap(Addr va)
         res.freedNodePa[res.freedNodes++] = n->pa;
         res.firstFreedStep = step;
         _alloc.free(n->pa, pageSize(smallPageShift));
+        _freeNodes.push_back(n);
         Entry &parent = chain[step - 1]->entries[idx[step - 1]];
-        parent.child.reset();
+        parent.child = nullptr;
         parent.valid = false;
         chain[step - 1]->live--;
     }
-    // The pre-unmap path walk above refilled the cache; drop it after
-    // the tree actually changed.
     _cachedVpn = invalidAddr;
     return res;
 }
@@ -156,7 +173,7 @@ PageTable::walk(Addr va) const
     }
 
     WalkResult result;
-    const Node *node = _root.get();
+    const Node *node = _root;
     for (unsigned level = pageTableLevels; level >= 1; level--) {
         const unsigned idx = radixIndex(va, level);
         const Entry &e = node->entries[idx];
@@ -179,7 +196,7 @@ PageTable::walk(Addr va) const
             _cachedWalk = result;
             return result;
         }
-        node = e.child.get();
+        node = e.child;
     }
     NEUMMU_PANIC("page-table walk ran past L1 without a leaf");
 }

@@ -16,6 +16,7 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "common/types.hh"
 #include "common/units.hh"
@@ -77,8 +78,14 @@ struct UnmapResult
  * Functional radix page table. map()/unmap() maintain the tree;
  * walk() returns the full translation path so timing models (PTWs)
  * can charge per-level latency/energy and feed translation caches.
- * unmap() reclaims interior nodes that become empty, returning their
- * frames to the node allocator (the free-list recycling path).
+ *
+ * Node ownership: an arena owns every host-side Node; tree links are
+ * plain non-owning pointers. unmap() reclaims interior nodes that
+ * become empty: their frames go straight back to the node allocator
+ * (the free-list recycling path) while the Node objects wait on a
+ * free list for the next allocNode(). Every node frame is still taken
+ * from and returned to the FrameAllocator at the same points, so node
+ * PAs (and everything keyed off them) do not depend on the recycling.
  */
 class PageTable
 {
@@ -130,7 +137,11 @@ class PageTable
     Node *allocNode();
 
     FrameAllocator &_alloc;
-    std::unique_ptr<Node> _root;
+    /** Owns every Node ever built; live and free-listed alike. */
+    std::vector<std::unique_ptr<Node>> _arena;
+    /** Reclaimed nodes: every entry invalid, no children. */
+    std::vector<Node *> _freeNodes;
+    Node *_root = nullptr;
     std::uint64_t _mappedPages = 0;
 
     /**

@@ -121,48 +121,9 @@ ResidentSet::remove(Addr page)
 }
 
 Addr
-ResidentSet::evictVictim(const VictimFilter &evictable)
+ResidentSet::evictVictim()
 {
-    if (_index.empty())
-        return invalidAddr;
-
-    if (_policy == EvictionPolicy::Lru) {
-        // Tail is the true-LRU end; pinned pages keep their position.
-        for (std::uint32_t idx = _tail; idx != npos;
-             idx = _slots[idx].prev) {
-            const Addr page = _slots[idx].page;
-            if (evictable && !evictable(page))
-                continue;
-            remove(page);
-            return page;
-        }
-        return invalidAddr;
-    }
-
-    // CLOCK: sweep from the hand toward older pages (tail first),
-    // wrapping; a referenced page gets a second chance, a pinned page
-    // is passed over untouched. Two full sweeps guarantee every
-    // unpinned page was seen with its bit cleared, so running out the
-    // bound means everything resident is pinned.
-    std::uint32_t idx = (_hand != npos) ? _hand : _tail;
-    const std::size_t bound = 2 * _index.size() + 1;
-    for (std::size_t examined = 0; examined < bound; examined++) {
-        Slot &s = _slots[idx];
-        const std::uint32_t ahead =
-            (s.prev != npos) ? s.prev : _tail;
-        if (!evictable || evictable(s.page)) {
-            if (s.referenced) {
-                s.referenced = false;
-            } else {
-                const Addr page = s.page;
-                _hand = (ahead == idx) ? npos : ahead;
-                remove(page);
-                return page;
-            }
-        }
-        idx = ahead;
-    }
-    return invalidAddr;
+    return evictVictim([](Addr) { return true; });
 }
 
 } // namespace neummu

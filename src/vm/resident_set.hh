@@ -18,7 +18,6 @@
 #define NEUMMU_VM_RESIDENT_SET_HH
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -46,9 +45,6 @@ EvictionPolicy evictionPolicyFromName(const std::string &name);
 class ResidentSet
 {
   public:
-    /** False to pin a candidate (skip it this selection). */
-    using VictimFilter = std::function<bool(Addr)>;
-
     explicit ResidentSet(EvictionPolicy policy);
 
     /** Track @p page as resident (MRU / referenced). @pre absent. */
@@ -67,11 +63,17 @@ class ResidentSet
 
     /**
      * Select the next victim per policy, remove it from the set, and
-     * return it; pages failing @p evictable are skipped (LRU) or
-     * passed over without losing their reference bit (CLOCK).
+     * return it; pages for which @p evictable (a bool(Addr) callable)
+     * returns false are pinned: skipped (LRU) or passed over without
+     * losing their reference bit (CLOCK). A template rather than a
+     * std::function: a CLOCK sweep calls it once per examined slot.
      * @return invalidAddr when every resident page is pinned.
      */
-    Addr evictVictim(const VictimFilter &evictable = {});
+    template <typename Filter>
+    Addr evictVictim(Filter &&evictable);
+
+    /** evictVictim() with every resident page evictable. */
+    Addr evictVictim();
 
   private:
     static constexpr std::uint32_t npos = ~std::uint32_t(0);
@@ -100,6 +102,52 @@ class ResidentSet
     std::uint32_t _hand = npos;
     FlatMap64<std::uint32_t> _index;
 };
+
+template <typename Filter>
+Addr
+ResidentSet::evictVictim(Filter &&evictable)
+{
+    if (_index.empty())
+        return invalidAddr;
+
+    if (_policy == EvictionPolicy::Lru) {
+        // Tail is the true-LRU end; pinned pages keep their position.
+        for (std::uint32_t idx = _tail; idx != npos;
+             idx = _slots[idx].prev) {
+            const Addr page = _slots[idx].page;
+            if (!evictable(page))
+                continue;
+            remove(page);
+            return page;
+        }
+        return invalidAddr;
+    }
+
+    // CLOCK: sweep from the hand toward older pages (tail first),
+    // wrapping; a referenced page gets a second chance, a pinned page
+    // is passed over untouched. Two full sweeps guarantee every
+    // unpinned page was seen with its bit cleared, so running out the
+    // bound means everything resident is pinned.
+    std::uint32_t idx = (_hand != npos) ? _hand : _tail;
+    const std::size_t bound = 2 * _index.size() + 1;
+    for (std::size_t examined = 0; examined < bound; examined++) {
+        Slot &s = _slots[idx];
+        const std::uint32_t ahead =
+            (s.prev != npos) ? s.prev : _tail;
+        if (evictable(s.page)) {
+            if (s.referenced) {
+                s.referenced = false;
+            } else {
+                const Addr page = s.page;
+                _hand = (ahead == idx) ? npos : ahead;
+                remove(page);
+                return page;
+            }
+        }
+        idx = ahead;
+    }
+    return invalidAddr;
+}
 
 } // namespace neummu
 

@@ -3,7 +3,8 @@
  * Unit tests for the SimProfiler scope machinery: nesting and
  * re-entrancy (self-time attribution, the (parent, child) pair
  * matrix), the LIFO-unwind assertion (death test), merge semantics,
- * and the flamegraph-compatible collapsed-stack dump.
+ * the flamegraph-compatible collapsed-stack dump, and response
+ * attribution in a profiled demand-paged System.
  */
 
 #include <gtest/gtest.h>
@@ -11,6 +12,9 @@
 #include <string>
 
 #include "sim/profiler.hh"
+#include "system/scheduler.hh"
+#include "system/system.hh"
+#include "workloads/workload_factory.hh"
 
 using namespace neummu;
 
@@ -215,4 +219,45 @@ TEST(SimProfiler, ResetClearsPairs)
         prof.pair(SimProfiler::rootSlot, ProfSubsystem::Kernel).count,
         0u);
     EXPECT_TRUE(prof.collapsed().empty());
+}
+
+// --- Profiled paging System -----------------------------------------
+
+namespace {
+
+/** Run a small oversubscribed, demand-paged System with the profiler
+ *  on; the paging engine switches the MMU onto its lifecycle path. */
+void
+expectRespondScopesUnderPaging(MmuKind kind)
+{
+    SystemConfig cfg;
+    cfg.name = "profpaging";
+    cfg.seed = 11;
+    cfg.mmuKind = kind;
+    cfg.sim.profile = true;
+    cfg.paging.enabled = true;
+    cfg.paging.residentLimitBytes = 16 * 4096;
+    cfg.paging.faultLatency = 200;
+    System sys(cfg);
+    Scheduler sched(sys);
+    sched.add(makeWorkloadFromSpec(
+        "synthetic:pattern=uniform,footprint=512k,accesses=256,"
+        "bytes=256,paged=1"));
+    ASSERT_TRUE(sched.run().allDone) << mmuKindName(kind);
+    ASSERT_GT(sys.pagingEngine().evictions(), 0u) << mmuKindName(kind);
+
+    // Every delivered response runs inside one MmuRespond scope.
+    const std::uint64_t responses = sys.mmu().counts().responses;
+    EXPECT_GT(responses, 0u) << mmuKindName(kind);
+    EXPECT_EQ(sys.mergedProfile().slot(ProfSubsystem::MmuRespond).count,
+              responses)
+        << mmuKindName(kind);
+}
+
+} // namespace
+
+TEST(SimProfiler, PagingSystemRecordsRespondScopes)
+{
+    expectRespondScopesUnderPaging(MmuKind::NeuMmu);    // MmuCore
+    expectRespondScopesUnderPaging(MmuKind::RangeMmu);  // TimedMmuEngine
 }

@@ -6,6 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <map>
+#include <utility>
+#include <vector>
+
 #include "common/units.hh"
 #include "vm/address_space.hh"
 #include "vm/frame_allocator.hh"
@@ -447,6 +452,140 @@ TEST_F(PageTableTest, ChurnReusesNodeFramesDeterministically)
     }
     EXPECT_EQ(pt.mappedPages(), 0u);
     EXPECT_EQ(node.used(), used_before);
+}
+
+namespace {
+
+/** Field-for-field equality of two walk results. */
+void
+expectSameWalk(const WalkResult &got, const WalkResult &want)
+{
+    EXPECT_EQ(got.valid, want.valid);
+    EXPECT_EQ(got.pa, want.pa);
+    EXPECT_EQ(got.pageShift, want.pageShift);
+    EXPECT_EQ(got.levels, want.levels);
+    EXPECT_EQ(got.entryPa, want.entryPa);
+    EXPECT_EQ(got.nodePa, want.nodePa);
+}
+
+} // namespace
+
+TEST_F(PageTableTest, UnmapPathEqualsPreUnmapWalk)
+{
+    // unmap() descends once; its path must be the walk() it replaced,
+    // and it must count the walk-cache hit that walk() would have.
+    const auto check = [&](Addr va) {
+        const WalkResult before = pt.walk(va);
+        const std::uint64_t hits = pt.walkCacheHits();
+        const UnmapResult um = pt.unmap(va);
+        expectSameWalk(um.path, before);
+        EXPECT_EQ(um.unmapped, before.valid);
+        EXPECT_EQ(pt.walkCacheHits(), hits + (before.valid ? 1 : 0));
+        return um;
+    };
+
+    // A lone 4 KB page.
+    const Addr small = Addr(0x31) << 30 | 0x7000;
+    pt.map(small, node.allocate(4096, 4096), smallPageShift);
+    EXPECT_EQ(check(small | 0x123).path.levels, 4u);
+
+    // A 2 MB page, unmapped through an interior offset.
+    const Addr large = Addr(0x32) << 30;
+    pt.map(large, node.allocate(2 * MiB, 2 * MiB), largePageShift);
+    EXPECT_EQ(check(large + 0x12345).path.levels, 3u);
+
+    // A partially shared subtree: the siblings share L4/L3 only.
+    const Addr va = Addr(0x34) << 30;
+    const Addr sib = va + (Addr(1) << 21);
+    pt.map(va, node.allocate(4096, 4096), smallPageShift);
+    pt.map(sib, node.allocate(4096, 4096), smallPageShift);
+    EXPECT_EQ(check(va).freedNodes, 1u);
+
+    // Never-mapped VAs stop where walk() stops: in the root, and in
+    // the sibling's live L1 table.
+    const UnmapResult root_miss = check(Addr(0x7f) << 39);
+    EXPECT_FALSE(root_miss.unmapped);
+    EXPECT_EQ(root_miss.path.levels, 1u);
+    const UnmapResult leaf_miss = check(sib + 4096);
+    EXPECT_FALSE(leaf_miss.unmapped);
+    EXPECT_EQ(leaf_miss.path.levels, 4u);
+    EXPECT_TRUE(pt.isMapped(sib));
+}
+
+TEST_F(PageTableTest, RecycledNodesKeepAllocatorOrder)
+{
+    // Leaf frames come from their own allocator, so the node
+    // allocator sees only node frames; reclaimed nodes must still take
+    // fresh frames from it in the same order, so a remap in the same
+    // order rebuilds every node at the same PA.
+    FrameAllocator data("data", Addr(1) << 44, 4 * GiB);
+    struct Mapping
+    {
+        Addr va;
+        unsigned shift;
+    };
+    std::vector<Mapping> order;
+    for (unsigned i = 0; i < 30; i++) {
+        order.push_back({Addr(1 + i % 3) << 39 | Addr(i % 4) << 30 |
+                             Addr(i % 5) << 21 | Addr(i) << 12,
+                         smallPageShift});
+        if (i % 4 == 3) {
+            const unsigned j = i / 4;
+            order.push_back({Addr(1 + j % 3) << 39 | Addr(j % 4) << 30 |
+                                 Addr(200 + j) << 21,
+                             largePageShift});
+        }
+    }
+
+    // The reference model: page base -> (frame, shift).
+    std::map<Addr, std::pair<Addr, unsigned>> model;
+    const auto checkAll = [&] {
+        for (const Mapping &m : order) {
+            const Addr probe = m.va | 0x88;
+            const WalkResult wr = pt.walk(probe);
+            const auto it = model.find(m.va);
+            ASSERT_EQ(wr.valid, it != model.end()) << std::hex << m.va;
+            if (wr.valid) {
+                EXPECT_EQ(wr.pa, it->second.first | 0x88);
+                EXPECT_EQ(wr.pageShift, it->second.second);
+            }
+        }
+        EXPECT_EQ(pt.mappedPages(), model.size());
+    };
+    const auto mapAll = [&] {
+        std::vector<std::array<Addr, pageTableLevels>> node_pa;
+        for (const Mapping &m : order) {
+            const std::uint64_t bytes = pageSize(m.shift);
+            const Addr frame = data.allocate(bytes, bytes);
+            pt.map(m.va, frame, m.shift);
+            model[m.va] = {frame, m.shift};
+            checkAll();
+        }
+        for (const Mapping &m : order)
+            node_pa.push_back(pt.walk(m.va).nodePa);
+        return node_pa;
+    };
+    const auto unmapAll = [&](unsigned stride) {
+        // Visit the mappings in a scattered order (stride coprime to
+        // the count) so subtrees empty out interleaved.
+        for (std::size_t k = 0; k < order.size(); k++) {
+            const Mapping &m = order[(k * stride) % order.size()];
+            const UnmapResult um = pt.unmap(m.va);
+            ASSERT_TRUE(um.unmapped);
+            data.free(um.frame, pageSize(um.pageShift));
+            model.erase(m.va);
+            checkAll();
+        }
+    };
+
+    ASSERT_EQ(order.size(), 37u); // prime: every stride below works
+    const std::uint64_t used_before = node.used();
+    const auto first = mapAll();
+    for (unsigned stride : {1u, 7u, 36u}) {
+        unmapAll(stride);
+        EXPECT_EQ(node.used(), used_before);
+        EXPECT_EQ(mapAll(), first) << "stride " << stride;
+    }
 }
 
 TEST_F(PageTableTest, ManyMappingsAllResolve)

@@ -11,8 +11,7 @@
  *    evicts and shoots down translations throughout. The bench
  *    re-runs the scenario at half the cycle budget to show the
  *    eviction/shootdown counters advance in BOTH halves, and re-runs
- *    it with the same seed and with sim.shards=4 to certify the dump
- *    is byte-identical either way.
+ *    it with the same seed to certify the dump is byte-identical.
  *
  * Usage: bench_serving [--cycles=N] [--json=FILE] [--stats]
  */
@@ -166,19 +165,10 @@ main(int argc, char **argv)
                            full.shootdowns > half.shootdowns;
     g.scalar("churnBothHalves").set(advancing ? 1.0 : 0.0);
 
-    // Determinism: same seed -> byte-identical dump, and the sharded
-    // kernel partitions identically for any shard count.
+    // Determinism: same seed -> byte-identical dump.
     const ServeRun again = runServe(churn, cycles);
-    SystemConfig sharded1 = churn;
-    sharded1.sim.shards = 1;
-    SystemConfig sharded4 = churn;
-    sharded4.sim.shards = 4;
-    const ServeRun s1 = runServe(sharded1, cycles);
-    const ServeRun s4 = runServe(sharded4, cycles);
     const bool same_seed = full.dump == again.dump;
-    const bool same_shards = s1.dump == s4.dump;
     g.scalar("identicalSameSeed").set(same_seed ? 1.0 : 0.0);
-    g.scalar("identicalShards1v4").set(same_shards ? 1.0 : 0.0);
 
     std::printf("churn64: %llu arrivals, %llu completed, "
                 "admitted=%llu retired=%llu\n",
@@ -201,13 +191,11 @@ main(int argc, char **argv)
                 (unsigned long long)full.releasedPages,
                 advancing ? "advancing in both halves"
                           : "NOT ADVANCING");
-    std::printf("churn64: same-seed dump %s, shards 1 vs 4 dump "
-                "%s\n",
-                same_seed ? "byte-identical" : "DIVERGED",
-                same_shards ? "byte-identical" : "DIVERGED");
+    std::printf("churn64: same-seed dump %s\n",
+                same_seed ? "byte-identical" : "DIVERGED");
 
     reporter.finish();
-    const bool ok = advancing && same_seed && same_shards &&
+    const bool ok = advancing && same_seed &&
                     full.report.retired > 0 &&
                     full.report.completed > 0;
     if (!ok) {

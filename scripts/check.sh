@@ -10,8 +10,8 @@
 #   BUILD_DIR  build tree (default: build)
 #   BUILD_TYPE CMake build type (default: RelWithDebInfo)
 #   SANITIZE   0 = off, 1/address = ASan+UBSan, thread = TSan
-#              (TSan covers the sharded DomainRuntime barrier and
-#              mailbox paths; default: 0)
+#              (TSan covers the multi-threaded sweep worker pool;
+#              default: 0)
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -104,19 +104,12 @@ if ! grep -q '"fastpath"\|trainsStarted' "$BENCH_JSON"; then
        "attribution (no trainsStarted)" >&2
   exit 1
 fi
-# The sharded scaling curve (64-NPU mix across sim.shards) must be in
-# the archived report: events/sec per shard count plus the wall-clock
-# speedup, with hostConcurrency recorded so a single-core runner's
-# flat curve is interpretable. bench_sim_throughput itself fails if
-# the simulated counters drift across the axis.
-for key in npu64_mix.shards1 npu64_mix.shards8 speedup \
-           hostConcurrency; do
-  if ! grep -q "$key" "$BENCH_JSON"; then
-    echo "error: throughput report is missing the sharded scaling" \
-         "curve (no $key)" >&2
-    exit 1
-  fi
-done
+# The 64-NPU mix (every NPU's DMA against the shared NeuMMU hub) must
+# be in the archived report.
+if ! grep -q '"sim.npu64_mix"' "$BENCH_JSON"; then
+  echo "error: throughput report is missing the npu64_mix scenario" >&2
+  exit 1
+fi
 
 # Oversubscription smoke: the page-lifecycle engine (evict + shootdown
 # + refetch) must survive a real sweep end to end and serve its
@@ -185,27 +178,6 @@ if ! cmp -s "$SWEEP_SERIAL" "$SWEEP_PAR"; then
   exit 1
 fi
 
-# Sharded-kernel gate, CLI path: the same matrix forced through the
-# sharded runtime at 1 shard vs 4 shards must merge byte-identically
-# -- shards (and threads) are execution knobs, never model knobs.
-# Both runs use the same -j because the merged JSON records it.
-SHARD_ONE="$BUILD_DIR/BENCH_sweep_shards1.json"
-SHARD_FOUR="$BUILD_DIR/BENCH_sweep_shards4.json"
-"$BUILD_DIR/neummu_sweep" --manifest=scripts/golden_matrix.jsonl \
-    -j 2 --timing=0 --quiet=1 --strict=1 \
-    --set="sim.hubNpus=1;sim.shards=1" --json="$SHARD_ONE" \
-    > /dev/null
-"$BUILD_DIR/neummu_sweep" --manifest=scripts/golden_matrix.jsonl \
-    -j 2 --timing=0 --quiet=1 --strict=1 \
-    --set="sim.hubNpus=1;sim.shards=4" --json="$SHARD_FOUR" \
-    > /dev/null
-if ! cmp -s "$SHARD_ONE" "$SHARD_FOUR"; then
-  echo "error: sharded golden-matrix sweep diverged between" \
-       "sim.shards=1 and sim.shards=4" >&2
-  exit 1
-fi
-echo "sharded determinism gate: shards=1 == shards=4 ($SHARD_FOUR)"
-
 # Scaling-trajectory point: the same matrix with reps lengthening
 # each job, serial baseline measured in-process, wall clock + speedup
 # recorded in the merged JSON. CI archives the file, so the artifact
@@ -223,7 +195,7 @@ echo "sweep scaling report: $SWEEP_JSON"
 # --- Serving gates -----------------------------------------------------
 # Open-loop serving mode: the ServingEngine must survive a Poisson run
 # and a tenant-churn run end to end through the neummu_serve CLI, and
-# its dump must be byte-reproducible -- same seed, any shard count.
+# its dump must be byte-reproducible for the same seed.
 if [[ ! -x "$BUILD_DIR/neummu_serve" ]]; then
   echo "error: neummu_serve was not built" >&2
   exit 1
@@ -261,7 +233,7 @@ if ! grep -q '"releasedPages"' "$SERVE_CHURN"; then
   exit 1
 fi
 
-# Byte-identity: same seed twice, and sim.shards=1 vs 4.
+# Byte-identity: the same seed twice.
 SERVE_A="$BUILD_DIR/BENCH_serve_rep.json"
 "$BUILD_DIR/neummu_serve" --cycles=4000000 --seed=7 \
     --set="$SERVE_CHURN_SET" --json="$SERVE_A" > /dev/null
@@ -269,19 +241,7 @@ if ! cmp -s "$SERVE_CHURN" "$SERVE_A"; then
   echo "error: same-seed serving runs dumped different stats" >&2
   exit 1
 fi
-SERVE_S1="$BUILD_DIR/BENCH_serve_shards1.json"
-SERVE_S4="$BUILD_DIR/BENCH_serve_shards4.json"
-"$BUILD_DIR/neummu_serve" --cycles=4000000 --seed=7 \
-    --set="$SERVE_CHURN_SET;sim.shards=1" --json="$SERVE_S1" \
-    > /dev/null
-"$BUILD_DIR/neummu_serve" --cycles=4000000 --seed=7 \
-    --set="$SERVE_CHURN_SET;sim.shards=4" --json="$SERVE_S4" \
-    > /dev/null
-if ! cmp -s "$SERVE_S1" "$SERVE_S4"; then
-  echo "error: serving dump diverged between sim.shards=1 and 4" >&2
-  exit 1
-fi
-echo "serving determinism gate: same-seed and shards 1 == 4"
+echo "serving determinism gate: same-seed dumps byte-identical"
 
 # Serving benchmark: the acceptance scenario (64 NPUs, >100 churning
 # demand-paged tenants, >=10M cycles) with its self-certifying
@@ -294,8 +254,7 @@ if [[ ! -s "$SERVING_JSON" ]]; then
 fi
 for key in '"serving.churn64"' '"serving.steady"' '"p50"' '"p99"' \
            '"p999"' '"evictions"' '"shootdowns"' \
-           '"churnBothHalves": 1' '"identicalSameSeed": 1' \
-           '"identicalShards1v4": 1'; do
+           '"churnBothHalves": 1' '"identicalSameSeed": 1'; do
   if ! grep -q "$key" "$SERVING_JSON"; then
     echo "error: serving report is missing $key" >&2
     exit 1
@@ -384,7 +343,7 @@ echo "design-zoo report: $ZOO_JSON"
 # --- Tracing gates -----------------------------------------------------
 # Request-lifecycle tracing: the churn serving scenario with a tail
 # threshold must produce a Perfetto-loadable Chrome trace that is
-# byte-identical across sim.shards=1 and 4, and the trace must pass
+# byte-identical across two same-seed runs, and the trace must pass
 # the schema validator. With trace.* off (every run above), the
 # golden matrix and serving dumps already pinned byte-identity -- the
 # off path adds nothing to the dump. Belt and braces: an explicit
@@ -403,21 +362,21 @@ if ! cmp -s "$SERVE_CHURN" "$TRACE_OFF"; then
   exit 1
 fi
 
-TRACE_S1="$BUILD_DIR/serve_churn_shards1.trace.json"
-TRACE_S4="$BUILD_DIR/serve_churn_shards4.trace.json"
+TRACE_A="$BUILD_DIR/serve_churn.trace.json"
+TRACE_B="$BUILD_DIR/serve_churn_rep.trace.json"
 TRACE_STATS="$BUILD_DIR/BENCH_serve_traced.json"
 "$BUILD_DIR/neummu_serve" --cycles=4000000 --seed=7 \
-    --set="$SERVE_CHURN_SET;sim.shards=1;trace.tailThreshold=20000" \
-    --trace="$TRACE_S1" --json="$TRACE_STATS" > /dev/null
+    --set="$SERVE_CHURN_SET;trace.tailThreshold=20000" \
+    --trace="$TRACE_A" --json="$TRACE_STATS" > /dev/null
 "$BUILD_DIR/neummu_serve" --cycles=4000000 --seed=7 \
-    --set="$SERVE_CHURN_SET;sim.shards=4;trace.tailThreshold=20000" \
-    --trace="$TRACE_S4" --report=0 > /dev/null
-if ! cmp -s "$TRACE_S1" "$TRACE_S4"; then
-  echo "error: Chrome trace diverged between sim.shards=1 and 4" >&2
+    --set="$SERVE_CHURN_SET;trace.tailThreshold=20000" \
+    --trace="$TRACE_B" --report=0 > /dev/null
+if ! cmp -s "$TRACE_A" "$TRACE_B"; then
+  echo "error: same-seed Chrome traces differ" >&2
   exit 1
 fi
 if command -v python3 > /dev/null; then
-  python3 scripts/check_trace.py "$TRACE_S1" --min-events=10
+  python3 scripts/check_trace.py "$TRACE_A" --min-events=10
 fi
 # The traced dump must carry the trace.* stats group with the counted
 # ring-drop statistic (zero is fine; absent is not).
@@ -426,4 +385,4 @@ if ! grep -q '"dropped"' "$TRACE_STATS"; then
        "statistic" >&2
   exit 1
 fi
-echo "tracing gate: trace shards 1 == 4, schema valid ($TRACE_S1)"
+echo "tracing gate: same-seed traces identical, schema valid ($TRACE_A)"

@@ -25,16 +25,6 @@ deriveSeed(std::uint64_t root, std::uint64_t stream)
 }
 
 std::uint64_t
-deriveSeed(std::uint64_t root, std::uint64_t domain,
-           std::uint64_t stream)
-{
-    // Chain through a domain-salted intermediate root so the
-    // (domain, stream) space is disjoint from the flat stream space.
-    return deriveSeed(deriveSeed(root, 0xd0a11d0a11d0a11dull ^ domain),
-                      stream);
-}
-
-std::uint64_t
 hashString(const std::string &s)
 {
     std::uint64_t h = 0xcbf29ce484222325ull;

@@ -23,19 +23,6 @@ namespace neummu {
  */
 std::uint64_t deriveSeed(std::uint64_t root, std::uint64_t stream);
 
-/**
- * Domain-qualified seed derivation: an independent child seed for
- * stream @p stream of simulation domain @p domain. Equivalent to two
- * chained deriveSeed calls with the domain id mixed into its own
- * splitmix finalizer, so (domain, stream) pairs never collide with
- * plain deriveSeed streams. The sharded kernel's per-domain Rng
- * streams use this, and because it is a pure function of (root,
- * domain, stream) the draws are identical for any shard/thread
- * mapping.
- */
-std::uint64_t deriveSeed(std::uint64_t root, std::uint64_t domain,
-                         std::uint64_t stream);
-
 /** FNV-1a 64-bit string hash, for name-keyed Rng streams. */
 std::uint64_t hashString(const std::string &s);
 

@@ -52,7 +52,7 @@ class TimedMmuEngine : public MmuEngine
     /** Common counter mirror + the design-specific hook. */
     void refreshStats() override;
 
-    /** Attach a lifecycle trace buffer (hub queue's; System wiring). */
+    /** Attach a lifecycle trace buffer (System wiring). */
     void setTraceBuffer(trace::TraceBuffer *buf) override
     {
         _trace = buf;

@@ -185,7 +185,7 @@ class MmuCore : public MmuEngine
      */
     void refreshStats() override;
 
-    /** Attach a lifecycle trace buffer (hub queue's; System wiring). */
+    /** Attach a lifecycle trace buffer (System wiring). */
     void setTraceBuffer(trace::TraceBuffer *buf) override
     {
         _trace = buf;

@@ -97,8 +97,7 @@ class MmuEngine : public TranslationEngine
 
     /**
      * Attach a lifecycle trace buffer (System wiring). Default no-op
-     * so designs without span instrumentation compile unchanged; the
-     * buffer must be the hub queue's (the engine runs hub-side).
+     * so designs without span instrumentation compile unchanged.
      */
     virtual void setTraceBuffer(trace::TraceBuffer *buf) { (void)buf; }
 

@@ -4,7 +4,7 @@
  * mirroring the workload factory's shape: System asks for a design by
  * key, the registry builds the matching MmuEngine from the
  * SystemConfig's design sub-structs. New designs register one row in
- * the table; everything above (router, sharding, paging, serving,
+ * the table; everything above (router, paging, serving,
  * ConfigBinder, sweeps) works unmodified.
  */
 

@@ -4,10 +4,9 @@
  * generator: it owns its Rng stream and produces a strictly
  * increasing sequence of arrival ticks with no feedback from the
  * simulation, so the timestamp sequence for a given (config, seed)
- * pair is identical regardless of worker count, shard count, or how
- * far behind the served system is running -- the defining property of
- * open-loop load generation and what makes the serving dump
- * byte-reproducible across `sim.shards` settings.
+ * pair is identical regardless of worker count or how far behind the
+ * served system is running -- the defining property of open-loop load
+ * generation and what makes the serving dump byte-reproducible.
  */
 
 #ifndef NEUMMU_SERVING_ARRIVAL_HH

@@ -15,12 +15,9 @@
  * would observe it.
  *
  * Determinism: all serving machinery (arrival events, routing,
- * dispatch, tenant churn) runs on the hub event queue, and the System
- * auto-raises sim.hubNpus to cover every serving slot, so the queue
- * partition -- and therefore the dump, byte for byte -- is identical
- * for any sim.shards >= 1 and any thread count. The arrival timestamp
- * sequence itself is a pure function of (config, seed) and is
- * identical even across the legacy (shards = 0) and sharded kernels.
+ * dispatch, tenant churn) runs on the System's event queue, so the
+ * dump is byte-identical across same-seed runs. The arrival timestamp
+ * sequence itself is a pure function of (config, seed).
  */
 
 #ifndef NEUMMU_SERVING_SERVING_ENGINE_HH
@@ -131,9 +128,8 @@ class ServingEngine
 
     /**
      * FNV-1a digest over the arrival tick sequence. A pure function
-     * of (arrival config, seed): identical across reps, worker
-     * counts, and every sim.shards setting including the legacy
-     * kernel -- the open-loop invariance tests key off it.
+     * of (arrival config, seed): identical across reps and worker
+     * counts -- the open-loop invariance tests key off it.
      */
     std::uint64_t arrivalDigest() const { return _digest; }
 
@@ -145,9 +141,9 @@ class ServingEngine
     /** Mirror live counters into the stats group before a dump. */
     void refreshStats();
 
-    /** Attach a lifecycle trace buffer (the hub queue's; System
-     *  wiring). Requests trace under requestTag keys, one parent
-     *  span per served request with queue/service children. */
+    /** Attach a lifecycle trace buffer (System wiring). Requests
+     *  trace under requestTag keys, one parent span per served
+     *  request with queue/service children. */
     void setTrace(trace::TraceBuffer *buf) { _trace = buf; }
 
   private:

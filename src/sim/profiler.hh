@@ -47,8 +47,8 @@ const char *profSubsystemName(ProfSubsystem s);
 
 /**
  * Per-event-queue profile accumulator. Single-threaded by
- * construction (one per queue, touched only from that queue's
- * domain thread); System sums across queues at dump time.
+ * construction: it is touched only from the thread running its
+ * queue.
  */
 class SimProfiler
 {

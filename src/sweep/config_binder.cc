@@ -1,6 +1,7 @@
 #include "sweep/config_binder.hh"
 
 #include <cstdlib>
+#include <limits>
 
 #include "common/text.hh"
 #include "mmu/translation_factory.hh"
@@ -32,6 +33,17 @@ parseU64(const std::string &key, const std::string &value)
     } catch (const WorkloadError &) {
         badValue(key, value, "an unsigned integer, K/M/G suffix ok");
     }
+}
+
+/** parseU64 for 32-bit fields: a value that does not fit is an
+ *  error, never a silent truncation. */
+unsigned
+parseU32(const std::string &key, const std::string &value)
+{
+    const std::uint64_t v = parseU64(key, value);
+    if (v > std::numeric_limits<unsigned>::max())
+        badValue(key, value, "an unsigned integer below 2^32");
+    return unsigned(v);
 }
 
 double
@@ -189,9 +201,9 @@ applyPreset(SystemConfig &cfg, const std::string &value)
                         "first)");
     const std::string name = cfg.name;
     const std::uint64_t seed = cfg.seed;
-    // sim.* describes how to EXECUTE the simulation, not the machine;
+    // sim.* describes how to OBSERVE the simulation, not the machine;
     // a preset replaces the machine but keeps the kernel knobs (so
-    // e.g. a base-config "sim.shards=4" survives preset jobs). The
+    // e.g. a base-config "sim.profile=1" survives preset jobs). The
     // zoo design sub-configs ride along for the same reason: they
     // only matter when mmuKind selects them.
     const SimConfig sim = cfg.sim;
@@ -258,9 +270,9 @@ applyOverride(SystemConfig &cfg, const std::string &key,
     } else if (key == "seed") {
         cfg.seed = parseU64(key, value);
     } else if (key == "numNpus") {
-        cfg.numNpus = unsigned(parseU64(key, value));
+        cfg.numNpus = parseU32(key, value);
     } else if (key == "bufferDepth") {
-        cfg.bufferDepth = unsigned(parseU64(key, value));
+        cfg.bufferDepth = parseU32(key, value);
     } else if (key == "dmaBurstBytes") {
         cfg.dmaBurstBytes = parseU64(key, value);
     } else if (key == "mmuKind" || key == "mmu.design") {
@@ -280,9 +292,9 @@ applyOverride(SystemConfig &cfg, const std::string &key,
     } else if (key == "npuHbmBytes") {
         cfg.npuHbmBytes = parseU64(key, value);
     } else if (key == "pageShift") {
-        cfg.pageShift = unsigned(parseU64(key, value));
+        cfg.pageShift = parseU32(key, value);
     } else if (key == "vaScatterShift") {
-        cfg.vaScatterShift = unsigned(parseU64(key, value));
+        cfg.vaScatterShift = parseU32(key, value);
     } else if (key == "preset") {
         applyPreset(cfg, value);
 
@@ -296,19 +308,19 @@ applyOverride(SystemConfig &cfg, const std::string &key,
 
         // --- Memory system --------------------------------------------
     } else if (key == "memory.channels") {
-        cfg.memory.channels = unsigned(parseU64(key, value));
+        cfg.memory.channels = parseU32(key, value);
     } else if (key == "memory.bytesPerCycle") {
         cfg.memory.bytesPerCycle = parseF64(key, value);
     } else if (key == "memory.accessLatency") {
         cfg.memory.accessLatency = Tick(parseU64(key, value));
     } else if (key == "memory.interleaveBytes") {
-        cfg.memory.interleaveBytes = unsigned(parseU64(key, value));
+        cfg.memory.interleaveBytes = parseU32(key, value);
 
         // --- MMU design point (materializes Custom, see customMmu) ----
     } else if (key == "mmu.numPtws") {
-        customMmu(cfg).numPtws = unsigned(parseU64(key, value));
+        customMmu(cfg).numPtws = parseU32(key, value);
     } else if (key == "mmu.prmbSlots") {
-        customMmu(cfg).prmbSlots = unsigned(parseU64(key, value));
+        customMmu(cfg).prmbSlots = parseU32(key, value);
     } else if (key == "mmu.pathCache") {
         customMmu(cfg).pathCache = parseCacheKind(key, value);
     } else if (key == "mmu.sharedCacheEntries") {
@@ -327,7 +339,7 @@ applyOverride(SystemConfig &cfg, const std::string &key,
     } else if (key == "mmu.walkLatencyPerLevel") {
         customMmu(cfg).walkLatencyPerLevel = Tick(parseU64(key, value));
     } else if (key == "mmu.prefetchDepth") {
-        customMmu(cfg).prefetchDepth = unsigned(parseU64(key, value));
+        customMmu(cfg).prefetchDepth = parseU32(key, value);
     } else if (key == "mmu.tlb.entries") {
         customMmu(cfg).tlb.entries = std::size_t(parseU64(key, value));
     } else if (key == "mmu.tlb.ways") {
@@ -340,9 +352,9 @@ applyOverride(SystemConfig &cfg, const std::string &key,
     } else if (key == "mmu.range.entries") {
         cfg.rangeMmu.entries = std::size_t(parseU64(key, value));
     } else if (key == "mmu.range.maxPages") {
-        cfg.rangeMmu.maxRangePages = unsigned(parseU64(key, value));
+        cfg.rangeMmu.maxRangePages = parseU32(key, value);
     } else if (key == "mmu.range.walkers") {
-        cfg.rangeMmu.numWalkers = unsigned(parseU64(key, value));
+        cfg.rangeMmu.numWalkers = parseU32(key, value);
     } else if (key == "mmu.range.hitLatency") {
         cfg.rangeMmu.hitLatency = Tick(parseU64(key, value));
     } else if (key == "mmu.range.walkLatencyPerLevel") {
@@ -356,17 +368,17 @@ applyOverride(SystemConfig &cfg, const std::string &key,
     } else if (key == "mmu.pom.ways") {
         cfg.pomTlb.ways = std::size_t(parseU64(key, value));
     } else if (key == "mmu.pom.walkers") {
-        cfg.pomTlb.numWalkers = unsigned(parseU64(key, value));
+        cfg.pomTlb.numWalkers = parseU32(key, value);
     } else if (key == "mmu.pom.walkLatencyPerLevel") {
         cfg.pomTlb.walkLatencyPerLevel = Tick(parseU64(key, value));
     } else if (key == "mmu.pom.memLatency") {
         cfg.pomTlb.mem.accessLatency = Tick(parseU64(key, value));
     } else if (key == "mmu.nmt.segmentShift") {
-        cfg.nmt.segmentShift = unsigned(parseU64(key, value));
+        cfg.nmt.segmentShift = parseU32(key, value);
     } else if (key == "mmu.nmt.cacheEntries") {
         cfg.nmt.cacheEntries = std::size_t(parseU64(key, value));
     } else if (key == "mmu.nmt.units") {
-        cfg.nmt.numUnits = unsigned(parseU64(key, value));
+        cfg.nmt.numUnits = parseU32(key, value);
     } else if (key == "mmu.nmt.hitLatency") {
         cfg.nmt.hitLatency = Tick(parseU64(key, value));
     } else if (key == "mmu.nmt.fetchLatency") {
@@ -380,12 +392,16 @@ applyOverride(SystemConfig &cfg, const std::string &key,
     } else if (key == "paging.residentLimitBytes") {
         cfg.paging.residentLimitBytes = parseU64(key, value);
     } else if (key == "paging.residentLimitPages") {
-        cfg.paging.residentLimitBytes =
-            parseU64(key, value) * pageSize(cfg.pageShift);
+        const std::uint64_t pages = parseU64(key, value);
+        const std::uint64_t page_bytes = pageSize(cfg.pageShift);
+        if (pages > std::numeric_limits<std::uint64_t>::max() /
+                        page_bytes)
+            badValue(key, value, "a page count below 2^64 bytes");
+        cfg.paging.residentLimitBytes = pages * page_bytes;
     } else if (key == "paging.faultLatency") {
         cfg.paging.faultLatency = Tick(parseU64(key, value));
     } else if (key == "paging.homeNode") {
-        cfg.paging.homeNode = unsigned(parseU64(key, value));
+        cfg.paging.homeNode = parseU32(key, value);
     } else if (key == "paging.writebackOnEvict") {
         cfg.paging.writebackOnEvict = parseBool(key, value);
 
@@ -418,9 +434,9 @@ applyOverride(SystemConfig &cfg, const std::string &key,
     } else if (key == "serve.workload") {
         cfg.serve.workload = parseRequestModelSpec(key, value);
     } else if (key == "serve.slots") {
-        cfg.serve.slots = unsigned(parseU64(key, value));
+        cfg.serve.slots = parseU32(key, value);
     } else if (key == "serve.tenants") {
-        cfg.serve.tenants = unsigned(parseU64(key, value));
+        cfg.serve.tenants = parseU32(key, value);
     } else if (key == "serve.lifetimeRequests") {
         cfg.serve.tenantLifetimeRequests = parseU64(key, value);
     } else if (key == "serve.admitGap") {
@@ -437,16 +453,6 @@ applyOverride(SystemConfig &cfg, const std::string &key,
         cfg.serve.queueLimit = parseU64(key, value);
 
         // --- Simulation kernel ----------------------------------------
-    } else if (key == "sim.shards") {
-        cfg.sim.shards = unsigned(parseU64(key, value));
-    } else if (key == "sim.hopTicks") {
-        cfg.sim.hopTicks = Tick(parseU64(key, value));
-    } else if (key == "sim.portCredits") {
-        cfg.sim.portCredits = unsigned(parseU64(key, value));
-    } else if (key == "sim.hubNpus") {
-        cfg.sim.hubNpus = unsigned(parseU64(key, value));
-    } else if (key == "sim.threads") {
-        cfg.sim.threads = unsigned(parseU64(key, value));
     } else if (key == "sim.profile") {
         cfg.sim.profile = parseU64(key, value) != 0;
 
@@ -556,25 +562,16 @@ binderKeyTable()
         {"serve.sloLatency", "SLO latency target (cycles)"},
         {"serve.window", "windowed-metric sampling period (cycles)"},
         {"serve.queueLimit", "per-slot pending cap; 0 = unbounded"},
-        {"sim.shards", "0 = legacy serial kernel; >=1 = sharded "
-                       "domain kernel with that many NPU shards"},
-        {"sim.hopTicks", "NPU<->hub hop latency = lookahead (>=1)"},
-        {"sim.portCredits", "outstanding translations per NPU port"},
-        {"sim.hubNpus", "first K NPU slots co-resident on the hub "
-                        "queue (auto-covers paging.homeNode)"},
         {"sim.profile", "1 = host-side cycle attribution (prof.* / "
                         "fastpath.* stats groups); observational only"},
-        {"sim.threads", "worker threads (0 = one per domain); never "
-                        "affects results"},
         {"trace.enabled", "0|1: request-lifecycle span tracing "
                           "(off = zero overhead, goldens untouched)"},
         {"trace.tailThreshold", "flush only requests with e2e latency "
                                 ">= this many ticks (0 = keep all)"},
         {"trace.autoP99", "0|1: also flush requests slower than the "
-                          "live p99 of their domain"},
-        {"trace.ring", "span-ring capacity per event queue "
-                       "(drop-oldest)"},
-        {"trace.marks", "tail-mark ring capacity per event queue"},
+                          "live p99"},
+        {"trace.ring", "span-ring capacity (drop-oldest)"},
+        {"trace.marks", "tail-mark ring capacity"},
     };
     return table;
 }

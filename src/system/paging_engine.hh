@@ -143,8 +143,8 @@ class PagingEngine
      */
     void refreshStats();
 
-    /** Attach a lifecycle trace buffer (the hub queue's; System
-     *  wiring). Page fetches/evictions trace under page keys. */
+    /** Attach a lifecycle trace buffer (System wiring). Page
+     *  fetches/evictions trace under page keys. */
     void setTrace(trace::TraceBuffer *buf) { _trace = buf; }
 
   private:

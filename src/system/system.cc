@@ -41,58 +41,12 @@ System::System(SystemConfig cfg)
 {
     NEUMMU_ASSERT(_cfg.numNpus >= 1, "a system needs at least one NPU");
 
-    if (_cfg.sim.shards > 0) {
-        // Sharded domain kernel: hub queue + one queue per non-hub
-        // NPU, grouped into min(shards, non-hub NPUs) domains plus
-        // the hub domain. Unit ids: hub = 0, NPU i = i + 1.
-        NEUMMU_ASSERT(!_cfg.sharedMemory,
-                      "sharded simulation (sim.shards > 0) requires "
-                      "per-NPU memory nodes (sharedMemory=0)");
-        NEUMMU_ASSERT(_cfg.sim.hopTicks >= 1,
-                      "sim.hopTicks must be at least 1");
-        NEUMMU_ASSERT(_cfg.sim.portCredits >= 1,
-                      "sim.portCredits must be at least 1");
-        unsigned hub_npus = std::min(_cfg.sim.hubNpus, _cfg.numNpus);
-        if (_cfg.paging.enabled) {
-            // The paging engine touches the home node's memory model
-            // synchronously; its NPU must share the hub queue.
-            hub_npus = std::min(
-                std::max(hub_npus, _cfg.paging.homeNode + 1),
-                _cfg.numNpus);
-        }
-        if (_cfg.serve.enabled) {
-            // Serving machinery (arrivals, routing, tenant churn)
-            // mutates host state synchronously on the hub queue; the
-            // serving slots must share it. Because this raise is a
-            // pure function of the config -- never of shards/threads
-            // -- the queue partition, and therefore the dump, is
-            // identical for every sim.shards >= 1.
-            const unsigned serve_slots =
-                _cfg.serve.slots
-                    ? std::min(_cfg.serve.slots, _cfg.numNpus)
-                    : _cfg.numNpus;
-            hub_npus = std::max(hub_npus, serve_slots);
-        }
-        const unsigned remote = _cfg.numNpus - hub_npus;
-        _npuQueue.resize(_cfg.numNpus);
-        for (unsigned i = 0; i < _cfg.numNpus; i++)
-            _npuQueue[i] = i < hub_npus ? 0 : 1 + (i - hub_npus);
-        const unsigned eff_shards =
-            remote ? std::min(_cfg.sim.shards, remote) : 0;
-        std::vector<unsigned> domain_of_queue(1 + remote, 0);
-        for (unsigned j = 0; j < remote; j++)
-            domain_of_queue[1 + j] = 1 + (j * eff_shards) / remote;
-        _domains = std::make_unique<DomainRuntime>(
-            1 + remote, _cfg.numNpus + 1, std::move(domain_of_queue),
-            _cfg.sim.hopTicks, _cfg.sim.threads);
-    }
-
     // The translation engine is whatever design the factory builds
-    // for cfg.mmuKind; everything downstream (router, shard ports,
-    // paging, serving) only sees the MmuEngine surface.
+    // for cfg.mmuKind; everything downstream (router, paging,
+    // serving) only sees the MmuEngine surface.
     _mmu = makeTranslationEngine(_cfg.mmuKind,
                                  prefixed(_cfg.name, "mmu"),
-                                 eventQueue(), _pageTable, _cfg);
+                                 _eq, _pageTable, _cfg);
     _stats.add(_mmu->stats());
 
     if (_cfg.numNpus > 1) {
@@ -162,38 +116,12 @@ System::System(SystemConfig cfg)
                 prefixed(_cfg.name, id + ".mem"), _cfg.memory);
             _stats.add(npu.mem->stats());
         }
-        EventQueue &npu_eq = eventQueueFor(i);
-        TranslationEngine *dma_port =
-            _router ? &_router->port(i)
-                    : static_cast<TranslationEngine *>(_mmu.get());
-        if (_domains) {
-            // Sharded mode: the DMA talks to a credit port; the hub
-            // bridge replays its mailbox traffic into the real port.
-            // Hub-resident NPUs take the same hop via their
-            // self-mailbox, so results do not depend on residency.
-            auto port = std::make_unique<ShardTranslationPort>(
-                prefixed(_cfg.name, id + ".port"), *_domains, npu_eq,
-                i + 1, _cfg.sim.portCredits);
-            _hubBridges.push_back(
-                std::make_unique<HubTranslationBridge>(
-                    *_domains, eventQueue(), i + 1, _npuQueue[i],
-                    *dma_port, *port));
-            port->connectHub(*_hubBridges.back());
-            // Hub-and-spoke channel map: NPU i posts requests to the
-            // hub queue; the hub posts responses and invalidations
-            // back to NPU i's queue. Registering them here lets the
-            // runtime scan only live mailboxes per window.
-            _domains->addChannel(0, i + 1);
-            _domains->addChannel(_npuQueue[i], 0);
-            _stats.add(port->stats());
-            dma_port = port.get();
-            _shardPorts.push_back(std::move(port));
-        }
+        TranslationEngine &dma_port = translationPort(i);
         npu.dma = std::make_unique<DmaEngine>(
-            prefixed(_cfg.name, id + ".dma"), npu_eq, *dma_port,
+            prefixed(_cfg.name, id + ".dma"), _eq, dma_port,
             _cfg.sharedMemory ? *_sharedMem : *npu.mem, dma_cfg);
         npu.pipeline = std::make_unique<TilePipeline>(
-            npu_eq, *npu.dma, _cfg.bufferDepth);
+            _eq, *npu.dma, _cfg.bufferDepth);
         _stats.add(npu.dma->stats());
         _npus.push_back(std::move(npu));
     }
@@ -229,29 +157,21 @@ System::System(SystemConfig cfg)
                       "tracing supports at most 252 NPUs");
         _trace = std::make_unique<trace::TraceEngine>(
             _cfg.name, _cfg.trace,
-            _domains ? _domains->numQueues() : 1,
             _stats.group(prefixed(_cfg.name, "trace")));
         for (unsigned i = 0; i < _cfg.numNpus; i++) {
             // The router tags request ids with the client index in
-            // the top byte; components that see raw (untagged) ids --
-            // the DMA and the shard port/bridge pair -- prepend the
-            // same tag so every span of one request shares one key.
+            // the top byte; the DMA sees raw (untagged) ids, so it
+            // prepends the same tag and every span of one request
+            // shares one key.
             const std::uint64_t key_base =
                 _router ? std::uint64_t(i) << trace::clientShift : 0;
-            const unsigned q = _domains ? _npuQueue[i] : 0;
-            _npus[i].dma->setTrace(&_trace->buffer(q), key_base);
-            if (_domains) {
-                _shardPorts[i]->setTrace(&_trace->buffer(q),
-                                         key_base);
-                _hubBridges[i]->setTrace(&_trace->buffer(0),
-                                         key_base);
-            }
+            _npus[i].dma->setTrace(&_trace->buffer(), key_base);
         }
-        _mmu->setTraceBuffer(&_trace->buffer(0));
+        _mmu->setTraceBuffer(&_trace->buffer());
         if (_paging)
-            _paging->setTrace(&_trace->buffer(0));
+            _paging->setTrace(&_trace->buffer());
         if (_serving)
-            _serving->setTrace(&_trace->buffer(0));
+            _serving->setTrace(&_trace->buffer());
     }
 
     // System-level counters live in a registry-owned group so they
@@ -261,58 +181,11 @@ System::System(SystemConfig cfg)
     // Host-side cycle attribution: observational only, and the extra
     // prof.*/fastpath.* stats groups are registered lazily at dump
     // time, so the default dump surface (and the goldens) is untouched.
-    if (_cfg.sim.profile) {
-        if (_domains) {
-            for (unsigned q = 0; q < _domains->numQueues(); q++)
-                _domains->queue(q).enableProfiling();
-        } else {
-            _eq.enableProfiling();
-        }
-    }
+    if (_cfg.sim.profile)
+        _eq.enableProfiling();
 }
 
 System::~System() = default;
-
-Tick
-System::run(Tick limit)
-{
-    return _domains ? _domains->run(limit) : _eq.run(limit);
-}
-
-EventQueue &
-System::eventQueueFor(unsigned npu)
-{
-    if (!_domains)
-        return _eq;
-    NEUMMU_ASSERT(npu < _npuQueue.size(), "NPU index out of range");
-    return _domains->queue(_npuQueue[npu]);
-}
-
-DomainRuntime &
-System::domains()
-{
-    NEUMMU_ASSERT(_domains, "system is not sharded (sim.shards = 0)");
-    return *_domains;
-}
-
-bool
-System::isHubResident(unsigned npu)
-{
-    if (!_domains)
-        return true;
-    NEUMMU_ASSERT(npu < _npuQueue.size(), "NPU index out of range");
-    return _npuQueue[npu] == 0;
-}
-
-void
-System::requireHubResident(unsigned npu, const std::string &what)
-{
-    if (isHubResident(npu))
-        return;
-    NEUMMU_FATAL(what + " needs synchronous hub access, so NPU slot " +
-                 std::to_string(npu) + " must be hub-resident: set "
-                 "sim.hubNpus to at least " + std::to_string(npu + 1));
-}
 
 System::Npu &
 System::npuAt(unsigned idx)
@@ -350,11 +223,6 @@ System::router()
 TranslationEngine &
 System::translationPort(unsigned npu)
 {
-    if (_domains) {
-        NEUMMU_ASSERT(npu < _shardPorts.size(),
-                      "NPU index out of range");
-        return *_shardPorts[npu];
-    }
     if (_router)
         return _router->port(npu);
     NEUMMU_ASSERT(npu == 0, "NPU index out of range");
@@ -441,60 +309,22 @@ System::refreshSystemStats()
     events += double(eventsExecuted());
     // Peak pending-event count: a kernel-implementation invariant
     // (identical schedule/dispatch sequences give identical depths),
-    // so the golden-stats tests pin it across kernel rewrites. In
-    // sharded mode it is the max over queues -- invariant across
-    // shards/threads (the queue partition is fixed by hubNpus), but a
-    // function of the hubNpus model parameter.
+    // so the golden-stats tests pin it across kernel rewrites.
     stats::Scalar &peak = sim.scalar("peakQueueDepth");
     peak.reset();
     peak += double(peakQueueDepth());
-    if (_domains) {
-        stats::Scalar &msgs = sim.scalar("crossDomainMessages");
-        msgs.reset();
-        msgs += double(_domains->messagesPosted());
-        stats::Scalar &wins = sim.scalar("syncWindows");
-        wins.reset();
-        wins += double(_domains->windowsExecuted());
-    }
     if (_cfg.sim.profile)
         refreshProfileStats();
     if (_trace)
         _trace->refreshStats();
 }
 
-std::uint64_t
-System::trainsStarted()
-{
-    std::uint64_t n = 0;
-    forEachQueue([&](EventQueue &eq) { n += eq.trainsStarted(); });
-    return n;
-}
-
-std::uint64_t
-System::trainSubEventsInlined()
-{
-    std::uint64_t n = 0;
-    forEachQueue(
-        [&](EventQueue &eq) { n += eq.trainSubEventsInlined(); });
-    return n;
-}
-
-std::uint64_t
-System::sameTickShortcuts()
-{
-    std::uint64_t n = 0;
-    forEachQueue([&](EventQueue &eq) { n += eq.sameTickShortcuts(); });
-    return n;
-}
-
 SimProfiler
 System::mergedProfile()
 {
     SimProfiler total;
-    forEachQueue([&](EventQueue &eq) {
-        if (eq.profiler())
-            total.merge(*eq.profiler());
-    });
+    if (_eq.profiler())
+        total.merge(*_eq.profiler());
     return total;
 }
 
@@ -506,9 +336,9 @@ System::refreshProfileStats()
         s += v;
     };
 
-    // Host-nanosecond attribution, merged across queues; each row is
-    // a subsystem's SELF time (nested scopes subtract), so the rows
-    // sum to the measured dispatch wall clock.
+    // Host-nanosecond attribution; each row is a subsystem's SELF
+    // time (nested scopes subtract), so the rows sum to the measured
+    // dispatch wall clock.
     const SimProfiler total = mergedProfile();
 
     stats::Group &prof = _stats.group(prefixed(_cfg.name, "prof"));

@@ -13,6 +13,11 @@
  * so a new scenario is a config, not new wiring, and every component
  * registers its counters in one StatsRegistry with a single text/JSON
  * dump path.
+ *
+ * The whole machine runs on one serial EventQueue. Every NPU
+ * translates through the one hub engine (the paper's shared MMU), so
+ * the hub is a serialization point that a partitioned kernel could
+ * not run in parallel.
  */
 
 #ifndef NEUMMU_SYSTEM_SYSTEM_HH
@@ -37,10 +42,8 @@
 #include "npu/npu_config.hh"
 #include "npu/tile_pipeline.hh"
 #include "serving/serve_config.hh"
-#include "sim/domain.hh"
 #include "sim/event_queue.hh"
 #include "system/paging_engine.hh"
-#include "system/shard_port.hh"
 #include "trace/trace.hh"
 #include "vm/address_space.hh"
 #include "vm/frame_allocator.hh"
@@ -56,49 +59,11 @@ namespace trace {
 class TraceEngine;
 } // namespace trace
 
-/**
- * Simulation-kernel execution/model knobs (ConfigBinder group
- * "sim.*"). shards = 0 runs the legacy serial kernel: one EventQueue,
- * synchronous ports, byte-identical to every pre-sharding golden
- * dump. shards >= 1 switches to the sharded domain kernel, which is
- * an explicitly different machine model: every NPU<->hub interaction
- * (translation requests/responses, invalidations) crosses an
- * interconnect hop of hopTicks each way, flow-controlled by
- * portCredits outstanding translations per NPU.
- *
- * Within the domain model, results are byte-identical for ANY shards
- * >= 1 and ANY thread count -- only hopTicks, portCredits, and
- * hubNpus are model parameters. shards and threads are pure
- * execution knobs.
- */
+/** Simulation-kernel knobs (ConfigBinder group "sim.*"). */
 struct SimConfig
 {
     /**
-     * Event-domain shards for the non-hub NPUs; 0 selects the legacy
-     * serial kernel, >= 1 the sharded domain kernel (clamped to the
-     * non-hub NPU count).
-     */
-    unsigned shards = 0;
-    /**
-     * NPU<->hub interconnect hop in ticks; doubles as the
-     * conservative lookahead (the barrier-window width). Must be
-     * >= 1; larger hops sync less often but add modeled latency.
-     */
-    Tick hopTicks = 64;
-    /** Outstanding-translation credits per NPU port (>= 1). */
-    unsigned portCredits = 64;
-    /**
-     * First K NPU slots co-resident on the hub queue (for components
-     * that need synchronous MMU/paging access, e.g. demand-paging
-     * workloads). Auto-raised to cover paging.homeNode. Changes the
-     * queue partition, so peakQueueDepth -- a per-queue kernel stat
-     * -- depends on it; everything simulated does not.
-     */
-    unsigned hubNpus = 0;
-    /** Worker threads (0 = one per domain). Never affects results. */
-    unsigned threads = 0;
-    /**
-     * Host-side cycle attribution (see sim/profiler.hh): every event
+     * Host-side cycle attribution (see sim/profiler.hh): the event
      * queue carries a SimProfiler and the dump gains `prof.*` /
      * `fastpath.*` groups. Purely observational -- simulated results
      * are identical with it on or off -- but the extra stats groups
@@ -189,8 +154,7 @@ struct SystemConfig
     PagingConfig paging{};
 
     // --- Simulation kernel -----------------------------------------
-    /** Sharded-execution knobs (sim.shards = 0 keeps the legacy
-     *  single-queue kernel). */
+    /** Kernel observability knobs. */
     SimConfig sim{};
 
     // --- Open-loop serving -----------------------------------------
@@ -198,10 +162,7 @@ struct SystemConfig
      * Serving-mode knobs (ConfigBinder group "serve.*"). Disabled
      * (the default) keeps the System purely closed-loop; enabled, the
      * System owns a ServingEngine that generates open-loop request
-     * arrivals over churning tenants. Under sim.shards >= 1 the
-     * serving slots are auto-raised onto the hub queue (like
-     * paging.homeNode), so the dump stays byte-identical across
-     * shard/thread counts.
+     * arrivals over churning tenants.
      */
     serving::ServeConfig serve{};
 
@@ -253,64 +214,42 @@ class System
     unsigned numNpus() const { return unsigned(_npus.size()); }
 
     // --- Simulation ------------------------------------------------
-    /** The hub event queue (the only queue when sim.shards = 0). */
-    EventQueue &eventQueue()
-    {
-        return _domains ? _domains->queue(0) : _eq;
-    }
-    /**
-     * The queue NPU @p npu's components (DMA, pipeline) run on --
-     * the hub queue in legacy mode or for hub-resident NPUs.
-     * Workload code must schedule slot-local events here, never on
-     * eventQueue(), so it stays correct under sharding.
-     */
-    EventQueue &eventQueueFor(unsigned npu);
-    /**
-     * Global simulated time: the hub clock in legacy mode, the max
-     * over domain clocks when sharded. Only meaningful outside run()
-     * -- event handlers must use their own queue's now().
-     */
-    Tick now() const
-    {
-        return _domains ? _domains->now() : _eq.now();
-    }
-    /** Drain the event queue(s) (up to and including @p limit -- see
+    /** The event queue every component runs on. */
+    EventQueue &eventQueue() { return _eq; }
+    /** Simulated time (only meaningful outside run()). */
+    Tick now() const { return _eq.now(); }
+    /** Drain the event queue (up to and including @p limit -- see
      *  EventQueue::run); returns final time. */
-    Tick run(Tick limit = maxTick);
-    /** Events executed across all queues. */
-    std::uint64_t eventsExecuted() const
-    {
-        return _domains ? _domains->eventsExecuted()
-                        : _eq.eventsExecuted();
-    }
-    /** Peak pending-event depth (max over queues when sharded). */
-    std::uint64_t peakQueueDepth() const
-    {
-        return _domains ? _domains->peakDepth() : _eq.peakDepth();
-    }
+    Tick run(Tick limit = maxTick) { return _eq.run(limit); }
+    /** Events executed so far. */
+    std::uint64_t eventsExecuted() const { return _eq.eventsExecuted(); }
+    /** Peak pending-event depth. */
+    std::uint64_t peakQueueDepth() const { return _eq.peakDepth(); }
 
     // --- Kernel fast-path observability ----------------------------
-    /** Event trains started, summed across queues. */
-    std::uint64_t trainsStarted();
-    /** Train sub-events run inline (no queue round-trip), summed. */
-    std::uint64_t trainSubEventsInlined();
-    /** Same-tick dispatch shortcuts taken, summed across queues. */
-    std::uint64_t sameTickShortcuts();
-    /** Merged host-cycle attribution (all zero when sim.profile=0). */
+    /** Event trains started. */
+    std::uint64_t trainsStarted() const { return _eq.trainsStarted(); }
+    /** Train sub-events run inline (no queue round-trip). */
+    std::uint64_t trainSubEventsInlined() const
+    {
+        return _eq.trainSubEventsInlined();
+    }
+    /** Same-tick dispatch shortcuts taken. */
+    std::uint64_t sameTickShortcuts() const
+    {
+        return _eq.sameTickShortcuts();
+    }
+    /** Host-cycle attribution (all zero when sim.profile=0). */
     SimProfiler mergedProfile();
 
-    // --- Sharded execution -----------------------------------------
-    bool sharded() const { return _domains != nullptr; }
-    /** @pre sharded() */
-    DomainRuntime &domains();
-    /** True when @p npu runs on the hub queue (always, unsharded). */
-    bool isHubResident(unsigned npu);
-    /**
-     * Abort with an actionable error unless @p npu is hub-resident:
-     * call before installing anything on the slot that needs
-     * synchronous hub access (fault handlers, paging hooks).
-     */
-    void requireHubResident(unsigned npu, const std::string &what);
+    // Kept only so perfbench/perfbench.cc compiles; always zero.
+    struct NoDomains
+    {
+        std::uint64_t windowsExecuted() const { return 0; }
+        std::uint64_t messagesPosted() const { return 0; }
+    };
+    bool sharded() const { return false; }
+    NoDomains domains() const { return {}; }
 
     // --- Virtual memory --------------------------------------------
     FrameAllocator &hostNode() { return _hostNode; }
@@ -387,27 +326,8 @@ class System
     /** Populate prof.* / fastpath.* groups (sim.profile only). */
     void refreshProfileStats();
 
-    /** Apply @p f to every live event queue (serial or sharded). */
-    template <typename F>
-    void forEachQueue(F &&f)
-    {
-        if (_domains) {
-            for (unsigned q = 0; q < _domains->numQueues(); q++)
-                f(_domains->queue(q));
-        } else {
-            f(_eq);
-        }
-    }
-
     SystemConfig _cfg;
     EventQueue _eq;
-    /** Sharded-mode runtime; null under the legacy serial kernel. */
-    std::unique_ptr<DomainRuntime> _domains;
-    /** Queue index per NPU (sharded mode only; 0 = hub queue). */
-    std::vector<unsigned> _npuQueue;
-    /** Per-NPU credit ports / hub bridges (sharded mode only). */
-    std::vector<std::unique_ptr<ShardTranslationPort>> _shardPorts;
-    std::vector<std::unique_ptr<HubTranslationBridge>> _hubBridges;
     FrameAllocator _hostNode;
     PageTable _pageTable;
     AddressSpace _vas;

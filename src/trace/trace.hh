@@ -8,15 +8,12 @@
  *
  * Timestamps are simulated ticks, never host time, so a trace is
  * bit-deterministic: the same seed and model configuration produce
- * the same spans regardless of sim.shards / sim.threads (for any
- * shards >= 1; the shards=0 legacy kernel is a different machine
- * model -- no shard hops -- and traces its own, equally
- * deterministic, timeline).
+ * the same spans on every run.
  *
  * Correlation keys reuse the translation router's client tagging:
  * the top byte of a request id is the issuing NPU, the low bits the
  * DMA-local request id, so every component along the path -- DMA,
- * shard port, hub bridge, MMU engine -- stamps spans for the same
+ * router, MMU engine -- stamps spans for the same
  * request with the same 64-bit key without widening
  * TranslationResponse. The top-byte values 0xFD..0xFF are reserved
  * for span families that are not translation requests (speculative
@@ -49,21 +46,22 @@ struct TraceConfig
      */
     Tick tailThreshold = 0;
     /**
-     * Additionally flush requests slower than the live p99 of their
-     * domain's completion stream (recomputed every 64 completions,
-     * so the trigger sequence is a pure function of the per-queue
-     * event stream and stays shard-invariant).
+     * Additionally flush requests slower than the live p99 of the
+     * completion stream (recomputed every 64 completions, so the
+     * trigger sequence is a pure function of the event stream).
      */
     bool autoP99 = false;
-    /** Span ring capacity per event-queue buffer (drop-oldest). */
+    /** Span ring capacity (drop-oldest). */
     std::uint64_t ring = 1 << 16;
-    /** Tail-mark ring capacity per buffer (drop-oldest). */
+    /** Tail-mark ring capacity (drop-oldest). */
     std::uint64_t marks = 1 << 13;
 };
 
 /**
  * Lifecycle stages, one per span. The order is the display/report
- * order; stageName() must stay in sync.
+ * order; stageName() must stay in sync. HopToHub, HubQueue and
+ * HopToNpu are never recorded by the serial kernel; they stay so the
+ * traced dump keeps its per-stage keys.
  */
 enum class Stage : std::uint8_t
 {
@@ -74,16 +72,16 @@ enum class Stage : std::uint8_t
 
     // Translation-request spans (key = router-tagged request id).
     Translation, ///< DMA issue -> response delivery (parent span)
-    CreditWait,  ///< DMA blocked on port credits / walker backpressure
-    HopToHub,    ///< NPU-side shard port -> hub ingress hop
-    HubQueue,    ///< hub bridge retry queue (walker-full backpressure)
+    CreditWait,  ///< DMA blocked on walker backpressure
+    HopToHub,    ///< NPU -> hub ingress hop (unused)
+    HubQueue,    ///< hub-side retry queue (unused)
     TlbHit,      ///< TPREG/TLB lookup that hit
     TlbMiss,     ///< TLB lookup that missed (the detect latency)
     PrmbMerge,   ///< merged into an in-flight walk; wait until drain
     Walk,        ///< page-table walk (aux = radix levels accessed)
     Fault,       ///< page-fault service as seen by the walk
     Lookup,      ///< zoo-design secondary lookup (POM DRAM, NMT fetch)
-    HopToNpu,    ///< hub -> NPU response hop
+    HopToNpu,    ///< hub -> NPU response hop (unused)
     // Synthesized only by the drain-time decomposition.
     QueueDelay,  ///< e2e time not covered by any recorded child span
     Respond,     ///< tail gap between last child span and delivery

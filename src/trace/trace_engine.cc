@@ -137,7 +137,7 @@ TraceBuffer::complete(std::uint64_t key, Tick e2e)
     _completions++;
     // The p99 snapshot refreshes every 64 completions, so the keep
     // decision for completion N depends only on completions 1..N of
-    // this queue's stream -- shard-invariant by construction.
+    // the event stream -- deterministic by construction.
     bool keep = _keepAll;
     if (!keep && _cfg.tailThreshold != 0 &&
         e2e >= _cfg.tailThreshold)
@@ -177,13 +177,10 @@ TraceBuffer::openCount() const
 // ---------------------------------------------------------------------
 
 TraceEngine::TraceEngine(std::string system_name, TraceConfig cfg,
-                         unsigned num_queues, stats::Group &stats)
-    : _name(std::move(system_name)), _cfg(cfg), _stats(stats)
+                         stats::Group &stats)
+    : _name(std::move(system_name)), _cfg(cfg), _buffer(_cfg),
+      _stats(stats)
 {
-    NEUMMU_ASSERT(num_queues >= 1, "trace engine needs a queue");
-    _buffers.reserve(num_queues);
-    for (unsigned q = 0; q < num_queues; q++)
-        _buffers.push_back(std::make_unique<TraceBuffer>(_cfg));
 }
 
 namespace {
@@ -267,17 +264,13 @@ TraceEngine::drain()
     const bool keep_all = _cfg.tailThreshold == 0 && !_cfg.autoP99;
     std::vector<TraceSpan> all;
     std::unordered_set<std::uint64_t> kept;
-    for (const std::unique_ptr<TraceBuffer> &bp : _buffers) {
-        const TraceBuffer &b = *bp;
-        b.forEachSpan([&](const TraceSpan &s) { all.push_back(s); });
-        if (!keep_all)
-            b.forEachMark(
-                [&](std::uint64_t k) { kept.insert(k); });
-        _report.spansRecorded += b.spansRecorded();
-        _report.dropped += b.dropped();
-        _report.marksDropped += b.marksDropped();
-        _report.openAtDrain += b.openCount();
-    }
+    _buffer.forEachSpan([&](const TraceSpan &s) { all.push_back(s); });
+    if (!keep_all)
+        _buffer.forEachMark([&](std::uint64_t k) { kept.insert(k); });
+    _report.spansRecorded = _buffer.spansRecorded();
+    _report.dropped = _buffer.dropped();
+    _report.marksDropped = _buffer.marksDropped();
+    _report.openAtDrain = _buffer.openCount();
 
     std::sort(all.begin(), all.end(), groupLess);
 
@@ -479,14 +472,11 @@ TraceEngine::refreshStats()
         }
         // Record-time per-stage durations (full coverage, every
         // recorded span regardless of the tail trigger).
-        std::uint64_t raw_count = 0;
-        for (const std::unique_ptr<TraceBuffer> &bp : _buffers)
-            raw_count += bp->stageHist(Stage(s)).count();
-        if (raw_count != 0) {
+        const stats::Histogram &raw = _buffer.stageHist(Stage(s));
+        if (raw.count() != 0) {
             stats::Histogram &h = _stats.histogram(base + "Raw");
             h.reset();
-            for (const std::unique_ptr<TraceBuffer> &bp : _buffers)
-                h.merge(bp->stageHist(Stage(s)));
+            h.merge(raw);
         }
     }
     for (unsigned s = 0; s < numStages; s++) {

@@ -1,19 +1,16 @@
 /**
  * @file
- * The tracing subsystem: per-event-queue TraceBuffers (single-writer,
- * bounded, drop-oldest) feeding a drain-time TraceEngine that
- * assembles per-request lifecycles, charges every tick of a traced
- * request's end-to-end latency to exactly one stage, and emits
- * Chrome-trace-event JSON (Perfetto-loadable).
+ * The tracing subsystem: one TraceBuffer (bounded, drop-oldest)
+ * feeding a drain-time TraceEngine that assembles per-request
+ * lifecycles, charges every tick of a traced request's end-to-end
+ * latency to exactly one stage, and emits Chrome-trace-event JSON
+ * (Perfetto-loadable).
  *
- * Threading model mirrors SimProfiler: one TraceBuffer per event
- * queue, touched only from that queue's domain thread while the
- * simulation runs; the engine reads the buffers single-threaded
- * after run() returns. Because each queue's event stream is
- * deterministic and the queue partition is invariant across
- * sim.shards >= 1, the assembled trace -- including the drop-oldest
+ * Components record into the buffer while the simulation runs; the
+ * engine reads it after run() returns. The event stream is
+ * deterministic, so the assembled trace -- including the drop-oldest
  * ring contents and the tail-trigger decisions -- is byte-identical
- * across shard counts.
+ * across same-seed runs.
  *
  * Retroactive capture: every span lands in the ring regardless of
  * the trigger; completion-time marks (tailThreshold / live-p99)
@@ -28,7 +25,6 @@
 
 #include <array>
 #include <cstdint>
-#include <memory>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -42,9 +38,8 @@ namespace neummu {
 namespace trace {
 
 /**
- * Per-event-queue span recorder. All mutators are called from the
- * owning queue's thread only; the const drain surface is read after
- * the run completes.
+ * Span recorder. The mutators run inside simulation events; the
+ * const drain surface is read after the run completes.
  */
 class TraceBuffer
 {
@@ -141,7 +136,7 @@ class TraceBuffer
 };
 
 /**
- * Owns one TraceBuffer per event queue and the drain-time assembly:
+ * Owns the TraceBuffer and the drain-time assembly:
  * lifecycle reconstruction, the per-stage latency decomposition, the
  * Chrome trace sink, and the trace.* stats group (registered by
  * System only when tracing is enabled, so golden dumps never change).
@@ -150,11 +145,12 @@ class TraceEngine
 {
   public:
     TraceEngine(std::string system_name, TraceConfig cfg,
-                unsigned num_queues, stats::Group &stats);
+                stats::Group &stats);
 
     const TraceConfig &config() const { return _cfg; }
-    unsigned numBuffers() const { return unsigned(_buffers.size()); }
-    TraceBuffer &buffer(unsigned q) { return *_buffers[q]; }
+    /** The buffer every component records into; its address is
+     *  stable for the engine's lifetime. */
+    TraceBuffer &buffer() { return _buffer; }
 
     /** Per-stage accumulation of the charged decomposition. */
     struct StageRow
@@ -205,7 +201,7 @@ class TraceEngine
 
     /**
      * Re-assemble lifecycles from the current buffer contents.
-     * Single-threaded; idempotent (buffers are read, not consumed).
+     * Idempotent (the buffer is read, not consumed).
      */
     void drain();
 
@@ -237,8 +233,7 @@ class TraceEngine
 
     std::string _name;
     TraceConfig _cfg;
-    /** unique_ptr: components cache raw TraceBuffer pointers. */
-    std::vector<std::unique_ptr<TraceBuffer>> _buffers;
+    TraceBuffer _buffer;
     stats::Group &_stats;
 
     std::vector<TraceSpan> _emitted;

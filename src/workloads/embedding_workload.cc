@@ -164,11 +164,6 @@ EmbeddingWorkload::bindDemandPaging()
     // tables whose index is not congruent to 0 mod N live on remote
     // devices and their pages fault in on first touch.
     System &sys = system();
-    // Both paging paths touch hub state synchronously (the legacy
-    // fault handler maps pages inline; completion reads MMU/paging
-    // counters), so this slot must share the hub queue when sharded.
-    sys.requireHubResident(npuSlot(), "demand-paging workload '" +
-                                          name() + "'");
     const unsigned page_shift = sys.config().pageShift;
     const std::uint64_t samples = std::max<std::uint64_t>(
         1, _cfg.batch / _cfg.cluster.numNpus);

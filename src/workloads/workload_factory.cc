@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cstdlib>
+#include <limits>
 
 #include "common/logging.hh"
 #include "common/text.hh"
@@ -242,11 +243,20 @@ parseSizeBytesChecked(const std::string &text)
 {
     if (text.empty())
         throw WorkloadError("empty size literal");
+    constexpr std::uint64_t limit =
+        std::numeric_limits<std::uint64_t>::max();
+    const auto overflow = [&text] {
+        return WorkloadError("size literal '" + text +
+                             "' does not fit in 64 bits");
+    };
     std::size_t end = 0;
     std::uint64_t value = 0;
     while (end < text.size() &&
            std::isdigit(static_cast<unsigned char>(text[end]))) {
-        value = value * 10 + std::uint64_t(text[end] - '0');
+        const std::uint64_t digit = std::uint64_t(text[end] - '0');
+        if (value > (limit - digit) / 10)
+            throw overflow();
+        value = value * 10 + digit;
         end++;
     }
     if (end == 0)
@@ -255,13 +265,17 @@ parseSizeBytesChecked(const std::string &text)
         return value;
     if (end + 1 != text.size())
         throw WorkloadError("malformed size literal '" + text + "'");
+    unsigned shift = 0;
     switch (std::tolower(static_cast<unsigned char>(text[end]))) {
-      case 'k': return value << 10;
-      case 'm': return value << 20;
-      case 'g': return value << 30;
+      case 'k': shift = 10; break;
+      case 'm': shift = 20; break;
+      case 'g': shift = 30; break;
       default:
         throw WorkloadError("unknown size suffix in '" + text + "'");
     }
+    if (value > (limit >> shift))
+        throw overflow();
+    return value << shift;
 }
 
 std::uint64_t

@@ -3,9 +3,8 @@
  * The MMU design zoo: translation-engine factory surface (keys,
  * aliases, error enumeration), ConfigBinder design selection and
  * override ordering, unit behavior of the three non-walker-core
- * designs (RangeMMU, PomTlb, NMT), their shootdown coherence under
- * demand paging, and sharded-kernel dump invariance for every
- * registered design.
+ * designs (RangeMMU, PomTlb, NMT), and their shootdown coherence
+ * under demand paging.
  */
 
 #include <gtest/gtest.h>
@@ -472,49 +471,4 @@ TEST(ZooCoherence, PomTlbSurvivesPagingChurn)
 TEST(ZooCoherence, NmtSurvivesPagingChurn)
 {
     runOversubGather(MmuKind::Nmt);
-}
-
-// ---------------------------------------------------------------------
-// Sharded-kernel compatibility: every design, byte-identical dumps
-// ---------------------------------------------------------------------
-
-namespace {
-
-std::string
-runHotsetDump(const std::string &design, unsigned shards)
-{
-    SystemConfig cfg;
-    cfg.name = "zoo";
-    cfg.seed = 7;
-    sweep::applyOverride(cfg, "mmu.design", design);
-    if (shards) {
-        sweep::applyOverride(cfg, "sim.shards",
-                             std::to_string(shards));
-    }
-    System system(cfg);
-    Scheduler scheduler(system);
-    scheduler.add(makeWorkloadFromSpec(
-        "synthetic:pattern=hotset,footprint=8M,accesses=2048"));
-    const SchedulerResult result = scheduler.run();
-    EXPECT_TRUE(result.allDone) << design << " shards=" << shards;
-    std::ostringstream os;
-    system.dumpStatsJson(os);
-    return os.str();
-}
-
-} // namespace
-
-TEST(ZooSharded, EveryDesignDumpInvariantAcrossShardCounts)
-{
-    for (const TranslationDesignDoc &doc : translationDesignTable()) {
-        // Shard count is an execution knob, never a model knob: the
-        // legacy kernel runs (shards=0), and every sharded width
-        // produces one byte-identical dump.
-        const std::string legacy = runHotsetDump(doc.key, 0);
-        EXPECT_FALSE(legacy.empty()) << doc.key;
-        const std::string one = runHotsetDump(doc.key, 1);
-        const std::string four = runHotsetDump(doc.key, 4);
-        EXPECT_EQ(one, four)
-            << doc.key << ": sim.shards changed simulated results";
-    }
 }

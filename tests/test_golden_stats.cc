@@ -265,73 +265,6 @@ TEST(GoldenSweep, ParallelManifestMatchesSerialAndGoldens)
     }
 }
 
-/**
- * The sharded domain kernel's own golden matrix: the same 16 jobs
- * with sim.shards >= 1, which is a DIFFERENT model from the legacy
- * serial kernel (every NPU<->MMU interaction crosses an explicit
- * hopTicks interconnect hop with portCredits flow control), so it
- * pins its own golden files (tests/golden/sharded_<id>.json).
- *
- * Certifies, per job: shards=1 and shards=4 dumps are byte-identical
- * (shard count is an execution knob, not a model parameter), and both
- * match the checked-in sharded golden. --update-golden regenerates
- * the sharded goldens from the shards=1 run.
- */
-TEST(GoldenSharded, ShardCountInvariantAndMatchesGoldens)
-{
-    std::vector<sweep::JobSpec> jobs = sweep::loadManifest(
-        std::string(NEUMMU_SCRIPTS_DIR) + "/golden_matrix.jsonl",
-        SystemConfig{});
-    ASSERT_EQ(jobs.size(), 16u);
-
-    auto with_shards = [&jobs](unsigned shards) {
-        std::vector<sweep::JobSpec> out = jobs;
-        for (sweep::JobSpec &job : out) {
-            job.overrides.emplace_back("sim.hubNpus", "1");
-            job.overrides.emplace_back("sim.shards",
-                                       std::to_string(shards));
-        }
-        sweep::SweepOptions opts;
-        opts.threads = 2;
-        return sweep::SweepEngine(opts).run(out);
-    };
-
-    const sweep::SweepResults one = with_shards(1);
-    const sweep::SweepResults four = with_shards(4);
-
-    for (std::size_t i = 0; i < jobs.size(); i++) {
-        const sweep::JobResult &a = one.jobs[i];
-        const sweep::JobResult &b = four.jobs[i];
-        ASSERT_TRUE(a.ok) << a.id << ": " << a.error;
-        ASSERT_TRUE(b.ok) << b.id << ": " << b.error;
-        EXPECT_TRUE(a.outcome.allDone) << a.id;
-        EXPECT_EQ(a.outcome.statsJson, b.outcome.statsJson)
-            << a.id << ": sim.shards changed simulated results";
-
-        const std::string path = std::string(NEUMMU_GOLDEN_DIR) +
-                                 "/sharded_" + a.id + ".json";
-        if (g_updateGolden) {
-            std::ofstream out(path,
-                              std::ios::binary | std::ios::trunc);
-            ASSERT_TRUE(out.good()) << "cannot write " << path;
-            out << a.outcome.statsJson;
-            continue;
-        }
-        std::ifstream in(path, std::ios::binary);
-        ASSERT_TRUE(in.good())
-            << "missing sharded golden " << path
-            << "; run test_golden_stats --update-golden";
-        std::ostringstream golden;
-        golden << in.rdbuf();
-        EXPECT_EQ(a.outcome.statsJson, golden.str())
-            << a.id
-            << ": sharded dump diverged from its golden reference."
-            << " Kernel-only (performance) changes must never trip"
-            << " this; only hopTicks/portCredits/hubNpus model"
-            << " changes may, with --update-golden + diff review.";
-    }
-}
-
 INSTANTIATE_TEST_SUITE_P(
     Matrix, GoldenStats,
     ::testing::Values(

@@ -592,6 +592,17 @@ TEST(WorkloadFactory, CheckedVariantThrowsInsteadOfExiting)
                  WorkloadError);
     EXPECT_THROW(makeWorkloadsFromListChecked(""), WorkloadError);
     EXPECT_THROW(parseSizeBytesChecked("12q"), WorkloadError);
+    // Overflow in the digits or in the suffix shift is an error,
+    // never a wrapped value.
+    EXPECT_THROW(parseSizeBytesChecked("18446744073709551616"),
+                 WorkloadError);
+    EXPECT_THROW(parseSizeBytesChecked("20000000000000G"),
+                 WorkloadError);
+    EXPECT_THROW(parseSizeBytesChecked("17179869184G"), WorkloadError);
+    EXPECT_EQ(parseSizeBytesChecked("18446744073709551615"),
+              18446744073709551615ull);
+    EXPECT_EQ(parseSizeBytesChecked("17179869183G"),
+              17179869183ull << 30);
     EXPECT_EQ(parseSizeBytesChecked("4K"), 4096u);
 }
 

@@ -152,6 +152,54 @@ TEST(ConfigBinder, RejectsJunk)
                   std::string::npos);
 }
 
+TEST(ConfigBinder, RejectsValuesThatDoNotFitTheField)
+{
+    SystemConfig cfg;
+    // 2^32 + 1 would truncate to 1 in a 32-bit field.
+    EXPECT_THROW(sweep::applyOverride(cfg, "numNpus", "4294967297"),
+                 sweep::BindError);
+    EXPECT_EQ(cfg.numNpus, 1u);
+    EXPECT_THROW(sweep::applyOverride(cfg, "mmu.numPtws", "4G"),
+                 sweep::BindError);
+    EXPECT_THROW(sweep::applyOverride(cfg, "serve.tenants",
+                                      "4294967296"),
+                 sweep::BindError);
+    sweep::applyOverride(cfg, "numNpus", "4294967295");
+    EXPECT_EQ(cfg.numNpus, 4294967295u);
+
+    // 64-bit fields: the literal itself, and the page-count product.
+    EXPECT_THROW(sweep::applyOverride(cfg, "seed",
+                                      "18446744073709551616"),
+                 sweep::BindError);
+    EXPECT_THROW(sweep::applyOverride(cfg, "npuHbmBytes",
+                                      "20000000000000G"),
+                 sweep::BindError);
+    EXPECT_THROW(sweep::applyOverride(cfg, "paging.residentLimitPages",
+                                      "18446744073709551615"),
+                 sweep::BindError);
+}
+
+TEST(ConfigBinder, RejectsRemovedExecutionKeys)
+{
+    // perfbench probes sim.shards to decide whether to run its
+    // sharded pass, so none of these keys may bind. sim.profile is
+    // the one kernel key, and the group error names it.
+    SystemConfig cfg;
+    for (const char *key : {"sim.shards", "sim.threads", "sim.hopTicks",
+                            "sim.hubNpus", "sim.portCredits"}) {
+        try {
+            sweep::applyOverride(cfg, key, "1");
+            ADD_FAILURE() << key << " still binds";
+        } catch (const sweep::BindError &err) {
+            EXPECT_NE(std::string(err.what()).find("valid: sim.profile)"),
+                      std::string::npos)
+                << err.what();
+        }
+    }
+    sweep::applyOverride(cfg, "sim.profile", "1");
+    EXPECT_TRUE(cfg.sim.profile);
+}
+
 // ---------------------------------------------------------------------
 // json_lite.
 // ---------------------------------------------------------------------

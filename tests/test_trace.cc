@@ -1,15 +1,12 @@
 /**
  * @file
  * Trace-determinism and well-formedness suite: the Chrome trace JSON
- * is byte-identical across sim.shards >= 1 at the same seed (and
- * run-to-run stable on the legacy shards=0 kernel, which simulates a
- * different machine model and therefore a different -- but equally
- * deterministic -- timeline); emitted spans are well-formed (no
- * negative durations, parents enclose their children, every opened
- * span closed at drain); the exhaustive latency partition's stage
- * sums equal the end-to-end latency; the tail trigger actually
- * filters; and the bounded rings drop oldest-first with counted
- * drops.
+ * is byte-identical across same-seed runs; emitted spans are
+ * well-formed (no negative durations, parents enclose their
+ * children, every opened span closed at drain); the exhaustive
+ * latency partition's stage sums equal the end-to-end latency; the
+ * tail trigger actually filters; and the bounded ring drops
+ * oldest-first with counted drops.
  */
 
 #include <gtest/gtest.h>
@@ -61,35 +58,12 @@ runAndTrace(const SystemConfig &cfg, Tick cycles)
 
 } // namespace
 
-TEST(TraceDeterminism, ChromeTraceByteIdenticalAcrossShards)
-{
-    SystemConfig cfg = tracedServeConfig();
-    cfg.sim.shards = 1;
-    const std::string one = runAndTrace(cfg, 400000);
-    cfg.sim.shards = 4;
-    const std::string four = runAndTrace(cfg, 400000);
-    EXPECT_FALSE(one.empty());
-    EXPECT_NE(one.find("traceEvents"), std::string::npos);
-    EXPECT_EQ(one, four);
-}
-
-TEST(TraceDeterminism, LegacyKernelRunToRunIdentical)
-{
-    // shards=0 is the serial legacy kernel: no shard hops, so its
-    // timeline legitimately differs from the sharded machines' --
-    // but the same seed must reproduce it byte for byte.
-    SystemConfig cfg = tracedServeConfig();
-    cfg.sim.shards = 0;
-    const std::string a = runAndTrace(cfg, 400000);
-    const std::string b = runAndTrace(cfg, 400000);
-    EXPECT_FALSE(a.empty());
-    EXPECT_EQ(a, b);
-}
-
 TEST(TraceDeterminism, SameSeedSameTraceAcrossRuns)
 {
     const SystemConfig cfg = tracedServeConfig();
-    EXPECT_EQ(runAndTrace(cfg, 400000), runAndTrace(cfg, 400000));
+    const std::string a = runAndTrace(cfg, 400000);
+    EXPECT_NE(a.find("traceEvents"), std::string::npos);
+    EXPECT_EQ(a, runAndTrace(cfg, 400000));
 }
 
 TEST(TraceWellFormed, SpansCloseAndParentsEncloseChildren)

@@ -78,9 +78,9 @@ main()
         cfg.system.mmu = oracleMmuConfig();
         const Tick oracle = runDenseExperiment(cfg).totalCycles;
         cfg.system.mmu = neuMmuConfig();
-        cfg.system.mmu.pathCache = MmuCacheKind::None;
+        cfg.system.mmu->pathCache = MmuCacheKind::None;
         const DenseExperimentResult no_tpreg = runDenseExperiment(cfg);
-        cfg.system.mmu.pathCache = MmuCacheKind::TpReg;
+        cfg.system.mmu->pathCache = MmuCacheKind::TpReg;
         const DenseExperimentResult with_tpreg =
             runDenseExperiment(cfg);
         std::printf("%-12s %10.4f %10.4f %14llu %14llu\n",

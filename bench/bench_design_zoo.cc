@@ -159,12 +159,9 @@ main(int argc, char **argv)
         Tick(reporter.args().getInt("cycles", 1500000));
     const std::vector<Point> points = evaluationPoints(serve_cycles);
 
-    // "custom" is not a buildable zoo entry: it names a walker-core
-    // machine edited via mmu.* keys, not a distinct design.
     std::vector<std::string> designs;
-    for (const TranslationDesignDoc &doc : translationDesignTable())
-        if (std::string(doc.key) != "custom")
-            designs.push_back(doc.key);
+    for (const TranslationDesign &design : translationDesignTable())
+        designs.push_back(design.key);
 
     // Every (design, point) cell on its own System, in parallel.
     // Each runner writes its pre-sized slot; the engine isolates

@@ -42,12 +42,12 @@ struct CellResult
 };
 
 CellResult
-runCell(MmuKind kind, unsigned batch, EvictionPolicy policy,
+runCell(const std::string &design, unsigned batch, EvictionPolicy policy,
         std::uint64_t resident_limit_pages)
 {
     const EmbeddingModelSpec spec = makeDlrm();
     const EmbeddingSystemConfig cluster;
-    SystemConfig cfg = demandPagingSystemConfig(spec, cluster, kind);
+    SystemConfig cfg = demandPagingSystemConfig(spec, cluster, design);
     cfg.name = "oversub";
     cfg.paging.enabled = true;
     cfg.paging.policy = policy;
@@ -90,8 +90,7 @@ main(int argc, char **argv)
     const EvictionPolicy policy = evictionPolicyFromName(
         reporter.args().get("policy", "clock"));
     const std::vector<double> ratios = {1.0, 0.75, 0.5, 0.25};
-    const std::vector<MmuKind> kinds = {MmuKind::BaselineIommu,
-                                        MmuKind::NeuMmu};
+    const std::vector<std::string> designs = {"iommu", "neummu"};
 
     sweep::SweepOptions sweep_opts;
     sweep_opts.threads =
@@ -100,13 +99,14 @@ main(int argc, char **argv)
     // Phase 1 (parallel): uncapped references. They count the
     // touched pages and set the baseline cycle count the capped runs
     // are normalized to.
-    std::vector<CellResult> refs(kinds.size());
+    std::vector<CellResult> refs(designs.size());
     {
-        std::vector<sweep::JobSpec> jobs(kinds.size());
-        for (std::size_t k = 0; k < kinds.size(); k++) {
-            jobs[k].id = "ref." + mmuKindName(kinds[k]);
+        std::vector<sweep::JobSpec> jobs(designs.size());
+        for (std::size_t k = 0; k < designs.size(); k++) {
+            jobs[k].id =
+                std::string("ref.") + translationDesign(designs[k]).title;
             jobs[k].runner = [&, k]() {
-                refs[k] = runCell(kinds[k], batch, policy, 0);
+                refs[k] = runCell(designs[k], batch, policy, 0);
                 sweep::JobOutcome out;
                 out.totalCycles = refs[k].cycles;
                 return out;
@@ -124,10 +124,10 @@ main(int argc, char **argv)
     // deadlock when every resident page has a walk in flight), so
     // the sweep can push residency well below the machine's
     // translation window.
-    std::vector<CellResult> capped(kinds.size() * ratios.size());
+    std::vector<CellResult> capped(designs.size() * ratios.size());
     {
         std::vector<sweep::JobSpec> jobs;
-        for (std::size_t k = 0; k < kinds.size(); k++) {
+        for (std::size_t k = 0; k < designs.size(); k++) {
             for (std::size_t r = 0; r < ratios.size(); r++) {
                 if (ratios[r] >= 1.0)
                     continue;
@@ -136,11 +136,12 @@ main(int argc, char **argv)
                     2, std::uint64_t(double(refs[k].residentPeak) *
                                      ratios[r]));
                 sweep::JobSpec job;
-                job.id = mmuKindName(kinds[k]) + ".r" +
+                job.id = translationDesign(designs[k]).title +
+                         std::string(".r") +
                          std::to_string(int(ratios[r] * 100));
                 job.runner = [&, k, pages, idx]() {
                     capped[idx] =
-                        runCell(kinds[k], batch, policy, pages);
+                        runCell(designs[k], batch, policy, pages);
                     sweep::JobOutcome out;
                     out.totalCycles = capped[idx].cycles;
                     return out;
@@ -162,8 +163,8 @@ main(int argc, char **argv)
                 "ratio", "cycles", "slowdown", "faults", "evictions",
                 "shootdowns", "stallCycles");
 
-    for (std::size_t k = 0; k < kinds.size(); k++) {
-        const MmuKind kind = kinds[k];
+    for (std::size_t k = 0; k < designs.size(); k++) {
+        const char *title = translationDesign(designs[k]).title;
         const CellResult &ref = refs[k];
         for (std::size_t r = 0; r < ratios.size(); r++) {
             const double ratio = ratios[r];
@@ -175,7 +176,7 @@ main(int argc, char **argv)
                 double(cell.cycles) / double(ref.cycles);
             std::printf("%-10s %-7.2f %12llu %10.3f %8llu %10llu "
                         "%11llu %12llu\n",
-                        mmuKindName(kind).c_str(), ratio,
+                        title, ratio,
                         (unsigned long long)cell.cycles, slowdown,
                         (unsigned long long)cell.faults,
                         (unsigned long long)cell.evictions,
@@ -185,7 +186,7 @@ main(int argc, char **argv)
 
             char key[64];
             std::snprintf(key, sizeof(key), "%s.r%03d",
-                          mmuKindName(kind).c_str(),
+                          title,
                           int(ratio * 100.0 + 0.5));
             stats::Group &g = reporter.group(key);
             g.scalar("ratio").set(ratio);

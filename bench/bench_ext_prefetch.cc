@@ -45,7 +45,7 @@ main(int argc, char **argv)
                                [&base_cfg,
                                 d](DenseExperimentConfig &cfg) {
                                    cfg.system.mmu = base_cfg;
-                                   cfg.system.mmu.prefetchDepth = d;
+                                   cfg.system.mmu->prefetchDepth = d;
                                }});
         }
 

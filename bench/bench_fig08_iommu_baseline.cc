@@ -25,7 +25,7 @@ main(int argc, char **argv)
                 "oracle_cyc", "iommu_cyc", "tlb_hit%");
     const std::vector<bench::DesignPoint> designs = {
         {"IOMMU", [](DenseExperimentConfig &cfg) {
-             cfg.system.mmuKind = MmuKind::BaselineIommu;
+             cfg.system.mmuDesign = "iommu";
          }}};
     const bench::GridResults results = bench::runGrid(
         SystemConfig{}, designs, bench::denseGrid(), &reporter,
@@ -56,7 +56,7 @@ main(int argc, char **argv)
             {"IOMMU_tlb" + std::to_string(entries),
              [entries](DenseExperimentConfig &cfg) {
                  cfg.system.mmu = baselineIommuConfig();
-                 cfg.system.mmu.tlb.entries = entries;
+                 cfg.system.mmu->tlb.entries = entries;
              }});
     }
     const std::vector<bench::GridPoint> probe = {{WorkloadId::CNN1, 1}};

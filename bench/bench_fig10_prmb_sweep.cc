@@ -32,7 +32,7 @@ main(int argc, char **argv)
         designs.push_back({"PRMB" + std::to_string(s),
                            [s](DenseExperimentConfig &cfg) {
                                cfg.system.mmu = baselineIommuConfig();
-                               cfg.system.mmu.prmbSlots = s;
+                               cfg.system.mmu->prmbSlots = s;
                            }});
     }
 

@@ -35,9 +35,9 @@ main(int argc, char **argv)
         designs.push_back({"PTW" + std::to_string(p),
                            [p](DenseExperimentConfig &cfg) {
                                cfg.system.mmu = neuMmuConfig();
-                               cfg.system.mmu.numPtws = p;
-                               cfg.system.mmu.prmbSlots = 32;
-                               cfg.system.mmu.pathCache =
+                               cfg.system.mmu->numPtws = p;
+                               cfg.system.mmu->prmbSlots = 32;
+                               cfg.system.mmu->pathCache =
                                    MmuCacheKind::None;
                            }});
     }

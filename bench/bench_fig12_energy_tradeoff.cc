@@ -31,7 +31,7 @@ main(int argc, char **argv)
                                    cfg.system.mmu =
                                        baselineIommuConfig();
                                    // no PTS/PRMB, no TPreg
-                                   cfg.system.mmu.numPtws = p;
+                                   cfg.system.mmu->numPtws = p;
                                }});
     }
 
@@ -76,10 +76,10 @@ main(int argc, char **argv)
                  std::to_string(pt.ptws),
              [pt](DenseExperimentConfig &cfg) {
                  cfg.system.mmu = neuMmuConfig();
-                 cfg.system.mmu.numPtws = pt.ptws;
-                 cfg.system.mmu.prmbSlots = pt.prmb;
+                 cfg.system.mmu->numPtws = pt.ptws;
+                 cfg.system.mmu->prmbSlots = pt.prmb;
                  // Isolate the PRMB-vs-PTW tradeoff (no TPreg).
-                 cfg.system.mmu.pathCache = MmuCacheKind::None;
+                 cfg.system.mmu->pathCache = MmuCacheKind::None;
              }});
     }
     const bench::GridResults iso_results = bench::runGrid(

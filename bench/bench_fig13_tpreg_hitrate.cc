@@ -22,7 +22,7 @@ main(int argc, char **argv)
     std::vector<double> l4s, l3s, l2s;
     const std::vector<bench::DesignPoint> designs = {
         {"NeuMMU", [](DenseExperimentConfig &cfg) {
-             cfg.system.mmuKind = MmuKind::NeuMmu;
+             cfg.system.mmuDesign = "neummu";
          }}};
 
     std::printf("%-12s %10s %10s %10s %12s\n", "workload", "L4idx",

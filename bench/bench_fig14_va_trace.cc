@@ -29,7 +29,7 @@ recordTrace(const ArgParser &args)
                        "JSONL translation trace of '" + spec + "'");
 
     SystemConfig cfg;
-    cfg.mmuKind = MmuKind::NeuMmu;
+    cfg.mmuDesign = "neummu";
     System system(cfg);
     TraceRecorder recorder;
     recorder.attach(system, 0);

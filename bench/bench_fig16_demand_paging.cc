@@ -35,20 +35,18 @@ main(int argc, char **argv)
     for (const EmbeddingModelSpec &spec : models) {
         for (const unsigned b : batches) {
             const Tick oracle =
-                runDemandPaging(spec, b, PagingMmu::Oracle,
-                                smallPageShift, cfg)
+                runDemandPaging(spec, b, "oracle", smallPageShift, cfg)
                     .totalCycles;
             for (const unsigned shift :
                  {smallPageShift, largePageShift}) {
-                for (const PagingMmu mmu :
-                     {PagingMmu::BaselineIommu, PagingMmu::NeuMmu}) {
+                for (const std::string mmu : {"iommu", "neummu"}) {
                     const DemandPagingResult r =
                         runDemandPaging(spec, b, mmu, shift, cfg);
                     const double norm =
                         double(oracle) / double(r.totalCycles);
                     char key[64];
                     std::snprintf(key, sizeof(key), "%s_%s.%s_b%02u",
-                                  pagingMmuName(mmu).c_str(),
+                                  translationDesign(mmu).title,
                                   shift == smallPageShift ? "4KB"
                                                           : "2MB",
                                   spec.name.c_str(), b);
@@ -64,18 +62,15 @@ main(int argc, char **argv)
                                 "%10.1fMB %10.2fMB\n",
                                 spec.name.c_str(), b,
                                 shift == smallPageShift ? "4KB" : "2MB",
-                                pagingMmuName(mmu).c_str(), norm,
+                                translationDesign(mmu).title, norm,
                                 (unsigned long long)r.faults,
                                 double(r.migratedBytes) / double(MiB),
                                 double(r.usefulBytes) / double(MiB));
-                    if (shift == smallPageShift &&
-                        mmu == PagingMmu::BaselineIommu)
+                    if (shift == smallPageShift && mmu == "iommu")
                         small_iommu.push_back(norm);
-                    if (shift == smallPageShift &&
-                        mmu == PagingMmu::NeuMmu)
+                    if (shift == smallPageShift && mmu == "neummu")
                         small_neummu.push_back(norm);
-                    if (shift == largePageShift &&
-                        mmu == PagingMmu::NeuMmu)
+                    if (shift == largePageShift && mmu == "neummu")
                         large_neummu.push_back(norm);
                 }
             }

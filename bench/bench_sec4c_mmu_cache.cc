@@ -43,21 +43,21 @@ runPolicy(bench::DenseSweep &sweep, MmuCacheReplacement repl,
         const DenseExperimentResult tpc =
             sweep.run(gp, [&](auto &cfg) {
                 cfg.system.mmu = neuMmuConfig();
-                cfg.system.mmu.pathCache = MmuCacheKind::Tpc;
-                cfg.system.mmu.sharedCacheEntries = entries;
-                cfg.system.mmu.sharedCacheReplacement = repl;
+                cfg.system.mmu->pathCache = MmuCacheKind::Tpc;
+                cfg.system.mmu->sharedCacheEntries = entries;
+                cfg.system.mmu->sharedCacheReplacement = repl;
             });
         const DenseExperimentResult uptc =
             sweep.run(gp, [&](auto &cfg) {
                 cfg.system.mmu = neuMmuConfig();
-                cfg.system.mmu.pathCache = MmuCacheKind::Uptc;
-                cfg.system.mmu.sharedCacheEntries = entries;
-                cfg.system.mmu.sharedCacheReplacement = repl;
+                cfg.system.mmu->pathCache = MmuCacheKind::Uptc;
+                cfg.system.mmu->sharedCacheEntries = entries;
+                cfg.system.mmu->sharedCacheReplacement = repl;
             });
         const DenseExperimentResult none =
             sweep.run(gp, [](auto &cfg) {
                 cfg.system.mmu = neuMmuConfig();
-                cfg.system.mmu.pathCache = MmuCacheKind::None;
+                cfg.system.mmu->pathCache = MmuCacheKind::None;
             });
 
         const double consults = double(tpc.pathCache.consults);

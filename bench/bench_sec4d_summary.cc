@@ -23,10 +23,10 @@ main(int argc, char **argv)
 
     const std::vector<bench::DesignPoint> designs = {
         {"IOMMU", [](DenseExperimentConfig &cfg) {
-             cfg.system.mmuKind = MmuKind::BaselineIommu;
+             cfg.system.mmuDesign = "iommu";
          }},
         {"NeuMMU", [](DenseExperimentConfig &cfg) {
-             cfg.system.mmuKind = MmuKind::NeuMmu;
+             cfg.system.mmuDesign = "neummu";
          }}};
 
     std::printf("%-12s %12s %12s %14s %14s\n", "workload", "IOMMU",

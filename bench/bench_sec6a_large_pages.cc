@@ -25,10 +25,10 @@ main(int argc, char **argv)
     base.pageShift = largePageShift;
     const std::vector<bench::DesignPoint> designs = {
         {"IOMMU_2MB", [](DenseExperimentConfig &cfg) {
-             cfg.system.mmuKind = MmuKind::BaselineIommu;
+             cfg.system.mmuDesign = "iommu";
          }},
         {"NeuMMU_2MB", [](DenseExperimentConfig &cfg) {
-             cfg.system.mmuKind = MmuKind::NeuMmu;
+             cfg.system.mmuDesign = "neummu";
          }}};
 
     std::printf("%-12s %12s %12s\n", "workload", "IOMMU_2MB",

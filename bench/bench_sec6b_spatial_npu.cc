@@ -25,10 +25,10 @@ main(int argc, char **argv)
     base.npu.compute = ComputeKind::Spatial;
     const std::vector<bench::DesignPoint> designs = {
         {"IOMMU", [](DenseExperimentConfig &cfg) {
-             cfg.system.mmuKind = MmuKind::BaselineIommu;
+             cfg.system.mmuDesign = "iommu";
          }},
         {"NeuMMU", [](DenseExperimentConfig &cfg) {
-             cfg.system.mmuKind = MmuKind::NeuMmu;
+             cfg.system.mmuDesign = "neummu";
          }}};
 
     std::printf("%-12s %12s %12s\n", "workload", "IOMMU", "NeuMMU");

@@ -46,9 +46,9 @@ main(int argc, char **argv)
                          std::to_string(tlb),
                      [prmb, ptws, tlb](DenseExperimentConfig &cfg) {
                          cfg.system.mmu = neuMmuConfig();
-                         cfg.system.mmu.prmbSlots = prmb;
-                         cfg.system.mmu.numPtws = ptws;
-                         cfg.system.mmu.tlb.entries = tlb;
+                         cfg.system.mmu->prmbSlots = prmb;
+                         cfg.system.mmu->numPtws = ptws;
+                         cfg.system.mmu->tlb.entries = tlb;
                      }});
             }
         }

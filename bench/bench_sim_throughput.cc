@@ -144,7 +144,7 @@ runBig64()
     cfg.name = "big64";
     cfg.seed = 21;
     cfg.numNpus = 64;
-    cfg.mmuKind = MmuKind::NeuMmu;
+    cfg.mmuDesign = "neummu";
     return meter(cfg, [&](System &, Scheduler &scheduler) {
         static const char *mix[] = {
             "synthetic:pattern=uniform,footprint=8M,accesses=1024",
@@ -158,10 +158,10 @@ runBig64()
 }
 
 RunSample
-runDense(MmuKind kind, unsigned layers)
+runDense(const char *design, unsigned layers)
 {
     SystemConfig cfg;
-    cfg.mmuKind = kind;
+    cfg.mmuDesign = design;
     return meter(cfg, [&](System &, Scheduler &scheduler) {
         DenseDnnWorkloadConfig wl;
         wl.workload = WorkloadId::CNN1;
@@ -175,10 +175,11 @@ runDense(MmuKind kind, unsigned layers)
 }
 
 RunSample
-runSynthetic(const std::string &spec, MmuKind kind, unsigned tenants)
+runSynthetic(const std::string &spec, const char *design,
+             unsigned tenants)
 {
     SystemConfig cfg;
-    cfg.mmuKind = kind;
+    cfg.mmuDesign = design;
     cfg.numNpus = tenants;
     return meter(cfg, [&](System &, Scheduler &scheduler) {
         for (unsigned t = 0; t < tenants; t++)
@@ -187,11 +188,11 @@ runSynthetic(const std::string &spec, MmuKind kind, unsigned tenants)
 }
 
 RunSample
-runPaging(MmuKind kind, unsigned batch)
+runPaging(const char *design, unsigned batch)
 {
     const EmbeddingModelSpec spec = makeDlrm();
     const EmbeddingSystemConfig cluster;
-    return meter(demandPagingSystemConfig(spec, cluster, kind),
+    return meter(demandPagingSystemConfig(spec, cluster, design),
                  [&](System &, Scheduler &scheduler) {
                      scheduler.add(
                          std::make_unique<EmbeddingWorkload>(
@@ -216,26 +217,24 @@ main(int argc, char **argv)
         reporter.args().getInt("profile", 0) != 0;
 
     const std::vector<Scenario> scenarios = {
-        {"dense_oracle", [] { return runDense(MmuKind::Oracle, 4); }},
-        {"dense_iommu",
-         [] { return runDense(MmuKind::BaselineIommu, 4); }},
-        {"dense_neummu", [] { return runDense(MmuKind::NeuMmu, 4); }},
+        {"dense_oracle", [] { return runDense("oracle", 4); }},
+        {"dense_iommu", [] { return runDense("iommu", 4); }},
+        {"dense_neummu", [] { return runDense("neummu", 4); }},
         {"synthetic_hotset",
          [] {
              return runSynthetic(
                  "synthetic:pattern=hotset,footprint=32M,"
                  "accesses=16384",
-                 MmuKind::NeuMmu, 1);
+                 "neummu", 1);
          }},
         {"tenants2_shared_iommu",
          [] {
              return runSynthetic(
                  "synthetic:pattern=uniform,footprint=16M,"
                  "accesses=8192",
-                 MmuKind::BaselineIommu, 2);
+                 "iommu", 2);
          }},
-        {"paging_dlrm",
-         [] { return runPaging(MmuKind::NeuMmu, 4); }},
+        {"paging_dlrm", [] { return runPaging("neummu", 4); }},
         {"npu64_mix", runBig64},
     };
 

@@ -105,7 +105,8 @@ class DenseSweep
         DenseExperimentConfig cfg = _base;
         cfg.workload = gp.workload;
         cfg.batch = gp.batch;
-        cfg.system.mmuKind = MmuKind::Oracle;
+        cfg.system.mmuDesign = "oracle";
+        cfg.system.mmu.reset();
         const Tick cycles = runDenseExperiment(cfg).totalCycles;
         _oracle.emplace(key, cycles);
         return cycles;
@@ -304,7 +305,8 @@ runGrid(const SystemConfig &base,
             cfg.workload = grid[i].workload;
             cfg.batch = grid[i].batch;
             cfg.system = base;
-            cfg.system.mmuKind = MmuKind::Oracle;
+            cfg.system.mmuDesign = "oracle";
+            cfg.system.mmu.reset();
             sweep::JobOutcome out;
             out.totalCycles = runDenseExperiment(cfg).totalCycles;
             return out;

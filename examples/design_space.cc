@@ -63,10 +63,10 @@ main(int argc, char **argv)
     for (const Candidate &c : grid) {
         DenseExperimentConfig cfg = base;
         cfg.system.mmu = MmuConfig{};
-        cfg.system.mmu.tlb = TlbConfig{c.tlb, 0, 5};
-        cfg.system.mmu.numPtws = c.ptws;
-        cfg.system.mmu.prmbSlots = c.prmb;
-        cfg.system.mmu.pathCache = c.cache;
+        cfg.system.mmu->tlb = TlbConfig{c.tlb, 0, 5};
+        cfg.system.mmu->numPtws = c.ptws;
+        cfg.system.mmu->prmbSlots = c.prmb;
+        cfg.system.mmu->pathCache = c.cache;
         const DenseExperimentResult r = runDenseExperiment(cfg);
         const double norm = double(oracle) / double(r.totalCycles);
         std::printf("%-6u %-6u %-8s %-6zu %10.4f %12llu %14.2f\n",

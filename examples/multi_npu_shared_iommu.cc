@@ -42,14 +42,14 @@ main(int argc, char **argv)
     SystemConfig cfg;
     cfg.name = "soc";
     cfg.numNpus = 2;
-    cfg.mmuKind = neummu ? MmuKind::NeuMmu : MmuKind::BaselineIommu;
+    cfg.mmuDesign = neummu ? "neummu" : "iommu";
     cfg.routerPolicy = partitioned ? RouterPolicy::Partitioned
                                    : RouterPolicy::Shared;
     System sys(cfg);
 
     std::printf("2-NPU system, shared %s, %s walker pool, %llu MB "
                 "per-NPU stream\n\n",
-                mmuKindName(cfg.mmuKind).c_str(),
+                translationDesign(cfg.mmuDesign).title,
                 partitioned ? "partitioned" : "shared",
                 (unsigned long long)mbytes);
 

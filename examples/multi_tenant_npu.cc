@@ -35,8 +35,7 @@ machineFor(const std::string &mmu_arg, unsigned tenants)
     SystemConfig cfg;
     cfg.name = "mt";
     cfg.numNpus = tenants;
-    cfg.mmuKind =
-        mmu_arg == "iommu" ? MmuKind::BaselineIommu : MmuKind::NeuMmu;
+    cfg.mmuDesign = mmu_arg == "iommu" ? "iommu" : "neummu";
     return cfg;
 }
 

@@ -29,30 +29,28 @@ main(int argc, char **argv)
     cfg.workload = WorkloadId::CNN1;
     cfg.batch = batch;
 
-    const MmuKind points[] = {MmuKind::Oracle, MmuKind::BaselineIommu,
-                              MmuKind::NeuMmu};
+    const char *points[] = {"oracle", "iommu", "neummu"};
 
     std::printf("AlexNet (CNN-1), batch %u, 4 KB pages\n\n", batch);
     std::printf("%-8s %14s %10s %12s %12s %14s\n", "MMU", "cycles",
                 "norm", "walks", "walkDram", "energy(uJ)");
 
     Tick oracle_cycles = 0;
-    for (const MmuKind kind : points) {
-        cfg.system.mmuKind = kind;
+    for (const std::string design : points) {
+        cfg.system.mmuDesign = design;
         System system(cfg.system);
         const DenseExperimentResult r = runDenseExperiment(cfg, system);
         if (oracle_cycles == 0)
             oracle_cycles = r.totalCycles;
         std::printf("%-8s %14llu %10.4f %12llu %12llu %14.2f\n",
-                    mmuKindName(kind).c_str(),
+                    translationDesign(design).title,
                     (unsigned long long)r.totalCycles,
                     double(oracle_cycles) / double(r.totalCycles),
                     (unsigned long long)r.mmu.walks,
                     (unsigned long long)r.mmu.walkMemAccesses,
                     r.translationEnergyNj / 1000.0);
 
-        if (kind == MmuKind::NeuMmu &&
-            args.getBool("dump-stats", false)) {
+        if (design == "neummu" && args.getBool("dump-stats", false)) {
             std::printf("\nStatsRegistry dump (NeuMMU machine):\n");
             system.dumpStatsText(std::cout);
         }

@@ -65,14 +65,12 @@ main(int argc, char **argv)
                 "total_cyc", "faults", "migrated");
     const unsigned paging_batch = batch > 8 ? 8 : batch;
     for (const unsigned shift : {smallPageShift, largePageShift}) {
-        for (const PagingMmu mmu :
-             {PagingMmu::Oracle, PagingMmu::BaselineIommu,
-              PagingMmu::NeuMmu}) {
+        for (const std::string mmu : {"oracle", "iommu", "neummu"}) {
             const DemandPagingResult r =
                 runDemandPaging(spec, paging_batch, mmu, shift, cfg);
             std::printf("%-10s %-10s %12llu %10llu %10.1fMB\n",
                         shift == smallPageShift ? "4KB" : "2MB",
-                        pagingMmuName(mmu).c_str(),
+                        translationDesign(mmu).title,
                         (unsigned long long)r.totalCycles,
                         (unsigned long long)r.faults,
                         double(r.migratedBytes) / double(MiB));

@@ -286,7 +286,7 @@ if ! grep -q '"ok": false' "$ZOO_SWEEP"; then
 fi
 # The unknown-design error must enumerate the registry, so a typo'd
 # design name is self-correcting from the merged report alone.
-if ! grep -q 'oracle|iommu|neummu|custom|range|pomtlb|nmt' \
+if ! grep -q 'oracle|iommu|neummu|range|pomtlb|nmt' \
     "$ZOO_SWEEP"; then
   echo "error: bad_design error does not enumerate the registered" \
        "designs" >&2

@@ -54,7 +54,8 @@ double
 normalizedPerformance(const DenseExperimentConfig &cfg)
 {
     DenseExperimentConfig oracle_cfg = cfg;
-    oracle_cfg.system.mmuKind = MmuKind::Oracle;
+    oracle_cfg.system.mmuDesign = "oracle";
+    oracle_cfg.system.mmu.reset();
     const DenseExperimentResult oracle = runDenseExperiment(oracle_cfg);
     const DenseExperimentResult run = runDenseExperiment(cfg);
     NEUMMU_ASSERT(run.totalCycles > 0, "empty run");

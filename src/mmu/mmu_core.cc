@@ -40,53 +40,6 @@ oracleMmuConfig(unsigned page_shift)
     return cfg;
 }
 
-std::string
-mmuKindName(MmuKind kind)
-{
-    switch (kind) {
-      case MmuKind::Oracle: return "Oracle";
-      case MmuKind::BaselineIommu: return "Baseline";
-      case MmuKind::NeuMmu: return "NeuMMU";
-      case MmuKind::Custom: return "Custom";
-      case MmuKind::RangeMmu: return "RangeMMU";
-      case MmuKind::PomTlb: return "PomTlb";
-      case MmuKind::Nmt: return "NMT";
-    }
-    NEUMMU_PANIC("unknown MMU kind");
-}
-
-bool
-isWalkerCoreKind(MmuKind kind)
-{
-    switch (kind) {
-      case MmuKind::Oracle:
-      case MmuKind::BaselineIommu:
-      case MmuKind::NeuMmu:
-      case MmuKind::Custom:
-        return true;
-      case MmuKind::RangeMmu:
-      case MmuKind::PomTlb:
-      case MmuKind::Nmt:
-        return false;
-    }
-    NEUMMU_PANIC("unknown MMU kind");
-}
-
-MmuConfig
-mmuConfigFor(MmuKind kind, unsigned page_shift)
-{
-    switch (kind) {
-      case MmuKind::Oracle: return oracleMmuConfig(page_shift);
-      case MmuKind::BaselineIommu:
-        return baselineIommuConfig(page_shift);
-      case MmuKind::NeuMmu: return neuMmuConfig(page_shift);
-      default:
-        NEUMMU_PANIC("MMU kind '" + mmuKindName(kind) + "' has no "
-                     "canned MmuConfig (only the named walker-core "
-                     "designs do)");
-    }
-}
-
 void
 MmuCore::refreshStats()
 {

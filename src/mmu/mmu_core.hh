@@ -82,41 +82,6 @@ MmuConfig neuMmuConfig(unsigned page_shift = smallPageShift);
 MmuConfig oracleMmuConfig(unsigned page_shift = smallPageShift);
 
 /**
- * The registered MMU design points. The first four are the
- * walker-core design space one MmuCore instance covers (the paper's
- * named points plus Custom for a hand-tuned MmuConfig); the rest are
- * architecturally different engines built by the translation factory
- * (see translation_factory.hh) and configured through their own
- * SystemConfig sub-structs, not through MmuConfig.
- */
-enum class MmuKind
-{
-    Oracle,
-    BaselineIommu,
-    NeuMmu,
-    Custom,
-    /** Range-based translation (RMM-style range TLB). */
-    RangeMmu,
-    /** Part-of-memory TLB: huge in-DRAM level under a small L1. */
-    PomTlb,
-    /** Near-memory translation (Picorel et al.). */
-    Nmt,
-};
-
-std::string mmuKindName(MmuKind kind);
-
-/** True for the kinds one MmuCore instance covers (an MmuConfig
- *  describes them; mmu.* binder keys edit this space). */
-bool isWalkerCoreKind(MmuKind kind);
-
-/**
- * The canned MmuConfig for a named walker-core @p kind at
- * @p page_shift.
- * @pre isWalkerCoreKind(kind) && kind != MmuKind::Custom
- */
-MmuConfig mmuConfigFor(MmuKind kind, unsigned page_shift);
-
-/**
  * The translation engine. Timing flows through the shared EventQueue;
  * functional translations come from the (CPU-owned) PageTable the
  * IOMMU has walk privileges for (Section II-B).

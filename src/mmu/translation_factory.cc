@@ -1,7 +1,6 @@
 #include "mmu/translation_factory.hh"
 
 #include "common/logging.hh"
-#include "common/text.hh"
 #include "mmu/nmt.hh"
 #include "mmu/pom_tlb.hh"
 #include "mmu/range_mmu.hh"
@@ -9,29 +8,64 @@
 
 namespace neummu {
 
-const std::vector<TranslationDesignDoc> &
+namespace {
+
+/** The walker-core builder: one MmuCore from cfg.resolvedMmuConfig(). */
+std::unique_ptr<MmuEngine>
+buildMmuCore(std::string name, EventQueue &eq, PageTable &pt,
+             const SystemConfig &cfg)
+{
+    const MmuConfig mmu_cfg = cfg.resolvedMmuConfig();
+    NEUMMU_ASSERT(mmu_cfg.pageShift == cfg.pageShift,
+                  "MMU page size and system page size must agree");
+    return std::make_unique<MmuCore>(std::move(name), eq, pt, mmu_cfg);
+}
+
+} // namespace
+
+const std::vector<TranslationDesign> &
 translationDesignTable()
 {
-    static const std::vector<TranslationDesignDoc> table{
+    static const std::vector<TranslationDesign> table{
         {"oracle", "Oracle",
          "every translation resolves instantly (normalization "
-         "baseline)"},
+         "baseline)",
+         oracleMmuConfig, buildMmuCore},
         {"iommu", "Baseline",
-         "IOTLB + 8 blocking page-table walkers (Table I baseline)"},
+         "IOTLB + 8 blocking page-table walkers (Table I baseline)",
+         baselineIommuConfig, buildMmuCore},
         {"neummu", "NeuMMU",
          "PTS + per-PTW PRMB + 128 walkers + TPreg (the paper's "
-         "design)"},
-        {"custom", "Custom",
-         "walker-core design with hand-tuned MmuConfig (mmu.* keys)"},
+         "design)",
+         neuMmuConfig, buildMmuCore},
         {"range", "RangeMMU",
          "range TLB over contiguous VA->PA runs, eager range "
-         "construction (RMM, ISCA 2015)"},
+         "construction (RMM, ISCA 2015)",
+         nullptr,
+         [](std::string name, EventQueue &eq, PageTable &pt,
+            const SystemConfig &cfg) -> std::unique_ptr<MmuEngine> {
+             return std::make_unique<RangeMmu>(std::move(name), eq, pt,
+                                               cfg.pageShift,
+                                               cfg.rangeMmu);
+         }},
         {"pomtlb", "PomTlb",
          "part-of-memory TLB: huge in-DRAM level under a small L1 "
-         "(Ryoo et al., ISCA 2017)"},
+         "(Ryoo et al., ISCA 2017)",
+         nullptr,
+         [](std::string name, EventQueue &eq, PageTable &pt,
+            const SystemConfig &cfg) -> std::unique_ptr<MmuEngine> {
+             return std::make_unique<PomTlb>(std::move(name), eq, pt,
+                                             cfg.pageShift, cfg.pomTlb);
+         }},
         {"nmt", "NMT",
          "near-memory translation: flat segment index at the memory "
-         "side (Picorel et al.)"},
+         "side (Picorel et al.)",
+         nullptr,
+         [](std::string name, EventQueue &eq, PageTable &pt,
+            const SystemConfig &cfg) -> std::unique_ptr<MmuEngine> {
+             return std::make_unique<Nmt>(std::move(name), eq, pt,
+                                          cfg.pageShift, cfg.nmt);
+         }},
     };
     return table;
 }
@@ -40,79 +74,32 @@ std::string
 translationDesignList()
 {
     std::string out;
-    for (const TranslationDesignDoc &doc : translationDesignTable()) {
+    for (const TranslationDesign &design : translationDesignTable()) {
         if (!out.empty())
             out += "|";
-        out += doc.key;
+        out += design.key;
     }
     return out;
 }
 
-bool
-translationDesignFromName(const std::string &name, MmuKind &out)
+const TranslationDesign *
+findTranslationDesign(const std::string &key)
 {
-    const std::string v = lowered(name);
-    if (v == "oracle") {
-        out = MmuKind::Oracle;
-    } else if (v == "iommu" || v == "baseline") {
-        out = MmuKind::BaselineIommu;
-    } else if (v == "neummu") {
-        out = MmuKind::NeuMmu;
-    } else if (v == "custom") {
-        out = MmuKind::Custom;
-    } else if (v == "range" || v == "rangemmu") {
-        out = MmuKind::RangeMmu;
-    } else if (v == "pomtlb" || v == "pom") {
-        out = MmuKind::PomTlb;
-    } else if (v == "nmt") {
-        out = MmuKind::Nmt;
-    } else {
-        return false;
+    for (const TranslationDesign &design : translationDesignTable()) {
+        if (key == design.key)
+            return &design;
     }
-    return true;
+    return nullptr;
 }
 
-std::string
-translationDesignKey(MmuKind kind)
+const TranslationDesign &
+translationDesign(const std::string &key)
 {
-    switch (kind) {
-      case MmuKind::Oracle: return "oracle";
-      case MmuKind::BaselineIommu: return "iommu";
-      case MmuKind::NeuMmu: return "neummu";
-      case MmuKind::Custom: return "custom";
-      case MmuKind::RangeMmu: return "range";
-      case MmuKind::PomTlb: return "pomtlb";
-      case MmuKind::Nmt: return "nmt";
-    }
-    NEUMMU_PANIC("unknown MMU kind");
-}
-
-std::unique_ptr<MmuEngine>
-makeTranslationEngine(MmuKind kind, std::string name, EventQueue &eq,
-                      PageTable &pt, const SystemConfig &cfg)
-{
-    if (isWalkerCoreKind(kind)) {
-        const MmuConfig mmu_cfg = cfg.resolvedMmuConfig();
-        NEUMMU_ASSERT(mmu_cfg.pageShift == cfg.pageShift,
-                      "MMU page size and system page size must agree");
-        return std::make_unique<MmuCore>(std::move(name), eq, pt,
-                                         mmu_cfg);
-    }
-    switch (kind) {
-      case MmuKind::RangeMmu:
-        return std::make_unique<RangeMmu>(std::move(name), eq, pt,
-                                          cfg.pageShift, cfg.rangeMmu);
-      case MmuKind::PomTlb:
-        return std::make_unique<PomTlb>(std::move(name), eq, pt,
-                                        cfg.pageShift, cfg.pomTlb);
-      case MmuKind::Nmt:
-        return std::make_unique<Nmt>(std::move(name), eq, pt,
-                                     cfg.pageShift, cfg.nmt);
-      default:
-        NEUMMU_PANIC("translation design '" + mmuKindName(kind) +
-                     "' has no registered builder (valid: " +
-                     translationDesignList() + ")");
-    }
+    const TranslationDesign *design = findTranslationDesign(key);
+    if (!design)
+        NEUMMU_PANIC("unknown translation design '" + key +
+                     "' (valid: " + translationDesignList() + ")");
+    return *design;
 }
 
 } // namespace neummu

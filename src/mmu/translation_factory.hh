@@ -1,11 +1,12 @@
 /**
  * @file
  * String-keyed translation-engine factory (the MMU design zoo),
- * mirroring the workload factory's shape: System asks for a design by
- * key, the registry builds the matching MmuEngine from the
- * SystemConfig's design sub-structs. New designs register one row in
- * the table; everything above (router, paging, serving,
- * ConfigBinder, sweeps) works unmodified.
+ * mirroring the workload factory's shape. The design table is the one
+ * place a design is named: its key is the design's only identity
+ * (SystemConfig::mmuDesign, the mmu.design= binder value), and its row
+ * carries the display title, the canned walker-core config (if any)
+ * and the builder. A new design registers one row; everything above
+ * (router, paging, serving, ConfigBinder, sweeps) works unmodified.
  */
 
 #ifndef NEUMMU_MMU_TRANSLATION_FACTORY_HH
@@ -24,40 +25,41 @@ namespace neummu {
 
 struct SystemConfig;
 
-/** One registered design row (for --list output and error text). */
-struct TranslationDesignDoc
+/** One registered translation design. */
+struct TranslationDesign
 {
-    /** Canonical factory key (mmu.design= / mmuKind= value). */
+    /** Factory key: the SystemConfig::mmuDesign / mmu.design= value. */
     const char *key;
-    /** Display name (matches mmuKindName). */
+    /** Display name in printed tables and golden file stems. */
     const char *title;
     const char *doc;
+    /**
+     * The canned MmuConfig at a page shift. Set exactly for the
+     * walker-core designs one MmuCore covers (the mmu.* binder keys
+     * edit this space); null for the zoo designs, which read their
+     * own SystemConfig sub-struct instead.
+     */
+    MmuConfig (*mmuConfig)(unsigned page_shift);
+    /** Build the engine @p cfg describes. */
+    std::unique_ptr<MmuEngine> (*build)(std::string name, EventQueue &eq,
+                                        PageTable &pt,
+                                        const SystemConfig &cfg);
 };
 
 /** The registry, in canonical listing order. */
-const std::vector<TranslationDesignDoc> &translationDesignTable();
+const std::vector<TranslationDesign> &translationDesignTable();
 
-/** Canonical keys, "oracle|iommu|neummu|custom|range|pomtlb|nmt". */
+/** Every key, "oracle|iommu|neummu|range|pomtlb|nmt". */
 std::string translationDesignList();
 
-/**
- * Parse a design key ("iommu"/"baseline" both name the baseline
- * IOMMU). @return False when @p name names no registered design.
- */
-bool translationDesignFromName(const std::string &name, MmuKind &out);
-
-/** The canonical factory key for @p kind. */
-std::string translationDesignKey(MmuKind kind);
+/** The row registered under @p key, or null when there is none. */
+const TranslationDesign *findTranslationDesign(const std::string &key);
 
 /**
- * Build the design @p kind selects. The walker-core kinds build an
- * MmuCore from cfg.resolvedMmuConfig(); the zoo kinds build their
- * engine from the matching cfg sub-struct (cfg.rangeMmu, cfg.pomTlb,
- * cfg.nmt) at cfg.pageShift.
+ * The row registered under @p key.
+ * @pre @p key names a registered design (panics otherwise).
  */
-std::unique_ptr<MmuEngine>
-makeTranslationEngine(MmuKind kind, std::string name, EventQueue &eq,
-                      PageTable &pt, const SystemConfig &cfg);
+const TranslationDesign &translationDesign(const std::string &key);
 
 } // namespace neummu
 

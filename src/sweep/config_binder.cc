@@ -67,34 +67,25 @@ parseBool(const std::string &key, const std::string &value)
     badValue(key, value, "0|1");
 }
 
-MmuKind
-parseMmuKind(const std::string &key, const std::string &value)
-{
-    MmuKind kind;
-    if (!translationDesignFromName(value, kind))
-        badValue(key, value, translationDesignList());
-    return kind;
-}
-
 /**
- * Set the translation design, guarding the override-ordering trap:
- * earlier mmu.* edits materialized a Custom config, and a later
- * mmuKind=/mmu.design= would silently discard them. That order is an
+ * mmu.design=<key>: select a registered design, guarding the
+ * override-ordering trap: earlier mmu.* edits live in cfg.mmu, and a
+ * later mmu.design= would silently discard them. That order is an
  * error, not a silent reset.
  */
 void
-setMmuKind(SystemConfig &cfg, const std::string &key,
-           const std::string &value)
+setDesign(SystemConfig &cfg, const std::string &key,
+          const std::string &value)
 {
-    const MmuKind kind = parseMmuKind(key, value);
-    if (cfg.mmuEdited && cfg.mmuKind == MmuKind::Custom &&
-        kind != MmuKind::Custom) {
+    const std::string design = lowered(value);
+    if (!findTranslationDesign(design))
+        badValue(key, value, translationDesignList());
+    if (cfg.mmu) {
         throw BindError(
             key + "=" + value + " after earlier mmu.* edits would "
-            "discard them; put " + key + "= before any mmu.* key (or "
-            "drop it -- mmu.* edits already select the custom design)");
+            "discard them; put " + key + "= before any mmu.* key");
     }
-    cfg.mmuKind = kind;
+    cfg.mmuDesign = design;
 }
 
 MmuCacheKind
@@ -156,33 +147,33 @@ parseRequestModelSpec(const std::string &key, const std::string &value)
 }
 
 /**
- * The editable MMU config: any mmu.* key first materializes the
- * config the current kind resolves to and flips the kind to Custom,
- * so "mmuKind=neummu mmu.numPtws=32" edits the canned NeuMMU point.
+ * The editable MMU config: the first mmu.* key materializes the
+ * current design's canned config into cfg.mmu, so
+ * "mmu.design=neummu mmu.numPtws=32" edits the canned NeuMMU point.
  */
 MmuConfig &
-customMmu(SystemConfig &cfg)
+editableMmu(SystemConfig &cfg)
 {
-    if (cfg.mmuKind != MmuKind::Custom) {
-        if (!isWalkerCoreKind(cfg.mmuKind)) {
-            const std::string key = translationDesignKey(cfg.mmuKind);
-            const std::string group = key == "pomtlb" ? "pom" : key;
+    if (!cfg.mmu) {
+        const TranslationDesign &design =
+            translationDesign(cfg.mmuDesign);
+        if (!design.mmuConfig) {
+            const std::string group =
+                cfg.mmuDesign == "pomtlb" ? "pom" : cfg.mmuDesign;
             throw BindError(
                 "mmu.* keys tune the walker-core designs; design '" +
-                key + "' is configured via its own mmu." + group +
-                ".* keys");
+                cfg.mmuDesign + "' is configured via its own mmu." +
+                group + ".* keys");
         }
-        cfg.mmu = cfg.resolvedMmuConfig();
-        cfg.mmuKind = MmuKind::Custom;
+        cfg.mmu = design.mmuConfig(cfg.pageShift);
     }
-    cfg.mmuEdited = true;
-    return cfg.mmu;
+    return *cfg.mmu;
 }
 
 /**
  * preset=<name>: replace the whole machine with a canned scenario
- * config, preserving name, seed, and mmuKind (the fields callers are
- * documented to override on the canned configs).
+ * config, preserving name, seed, and mmuDesign (the fields callers
+ * are documented to override on the canned configs).
  */
 void
 applyPreset(SystemConfig &cfg, const std::string &value)
@@ -195,23 +186,23 @@ applyPreset(SystemConfig &cfg, const std::string &value)
         spec = makeNcf();
     else
         badValue("preset", value, "dlrm_paging|ncf_paging");
-    if (cfg.mmuKind == MmuKind::Custom)
-        throw BindError("preset=" + value + " needs a named mmuKind "
-                        "(set mmuKind/mmu.design to a named design "
-                        "first)");
+    if (cfg.mmu)
+        throw BindError("preset=" + value + " after earlier mmu.* "
+                        "edits would discard them; put preset= "
+                        "before any mmu.* key");
     const std::string name = cfg.name;
     const std::uint64_t seed = cfg.seed;
     // sim.* describes how to OBSERVE the simulation, not the machine;
     // a preset replaces the machine but keeps the kernel knobs (so
     // e.g. a base-config "sim.profile=1" survives preset jobs). The
     // zoo design sub-configs ride along for the same reason: they
-    // only matter when mmuKind selects them.
+    // only matter when mmuDesign selects them.
     const SimConfig sim = cfg.sim;
     const RangeMmuConfig range = cfg.rangeMmu;
     const PomTlbConfig pom = cfg.pomTlb;
     const NmtConfig nmt = cfg.nmt;
     cfg = demandPagingSystemConfig(spec, EmbeddingSystemConfig{},
-                                   cfg.mmuKind, cfg.pageShift);
+                                   cfg.mmuDesign, cfg.pageShift);
     cfg.name = name;
     cfg.seed = seed;
     cfg.sim = sim;
@@ -275,8 +266,8 @@ applyOverride(SystemConfig &cfg, const std::string &key,
         cfg.bufferDepth = parseU32(key, value);
     } else if (key == "dmaBurstBytes") {
         cfg.dmaBurstBytes = parseU64(key, value);
-    } else if (key == "mmuKind" || key == "mmu.design") {
-        setMmuKind(cfg, key, value);
+    } else if (key == "mmu.design") {
+        setDesign(cfg, key, value);
     } else if (key == "routerPolicy") {
         const std::string v = lowered(value);
         if (v == "shared")
@@ -292,7 +283,12 @@ applyOverride(SystemConfig &cfg, const std::string &key,
     } else if (key == "npuHbmBytes") {
         cfg.npuHbmBytes = parseU64(key, value);
     } else if (key == "pageShift") {
+        // An edited walker config has no page-size key of its own:
+        // keep it in step so a bound config never disagrees with
+        // itself, whichever order the keys came in.
         cfg.pageShift = parseU32(key, value);
+        if (cfg.mmu)
+            cfg.mmu->pageShift = cfg.pageShift;
     } else if (key == "vaScatterShift") {
         cfg.vaScatterShift = parseU32(key, value);
     } else if (key == "preset") {
@@ -316,39 +312,40 @@ applyOverride(SystemConfig &cfg, const std::string &key,
     } else if (key == "memory.interleaveBytes") {
         cfg.memory.interleaveBytes = parseU32(key, value);
 
-        // --- MMU design point (materializes Custom, see customMmu) ----
+        // --- Walker-core MMU knobs (materialize cfg.mmu, see
+        // editableMmu) -------------------------------------------------
     } else if (key == "mmu.numPtws") {
-        customMmu(cfg).numPtws = parseU32(key, value);
+        editableMmu(cfg).numPtws = parseU32(key, value);
     } else if (key == "mmu.prmbSlots") {
-        customMmu(cfg).prmbSlots = parseU32(key, value);
+        editableMmu(cfg).prmbSlots = parseU32(key, value);
     } else if (key == "mmu.pathCache") {
-        customMmu(cfg).pathCache = parseCacheKind(key, value);
+        editableMmu(cfg).pathCache = parseCacheKind(key, value);
     } else if (key == "mmu.sharedCacheEntries") {
-        customMmu(cfg).sharedCacheEntries =
+        editableMmu(cfg).sharedCacheEntries =
             std::size_t(parseU64(key, value));
     } else if (key == "mmu.sharedCacheReplacement") {
         const std::string v = lowered(value);
         if (v == "lru")
-            customMmu(cfg).sharedCacheReplacement =
+            editableMmu(cfg).sharedCacheReplacement =
                 MmuCacheReplacement::Lru;
         else if (v == "fifo")
-            customMmu(cfg).sharedCacheReplacement =
+            editableMmu(cfg).sharedCacheReplacement =
                 MmuCacheReplacement::Fifo;
         else
             badValue(key, value, "lru|fifo");
     } else if (key == "mmu.walkLatencyPerLevel") {
-        customMmu(cfg).walkLatencyPerLevel = Tick(parseU64(key, value));
+        editableMmu(cfg).walkLatencyPerLevel = Tick(parseU64(key, value));
     } else if (key == "mmu.prefetchDepth") {
-        customMmu(cfg).prefetchDepth = parseU32(key, value);
+        editableMmu(cfg).prefetchDepth = parseU32(key, value);
     } else if (key == "mmu.tlb.entries") {
-        customMmu(cfg).tlb.entries = std::size_t(parseU64(key, value));
+        editableMmu(cfg).tlb.entries = std::size_t(parseU64(key, value));
     } else if (key == "mmu.tlb.ways") {
-        customMmu(cfg).tlb.ways = std::size_t(parseU64(key, value));
+        editableMmu(cfg).tlb.ways = std::size_t(parseU64(key, value));
     } else if (key == "mmu.tlb.hitLatency") {
-        customMmu(cfg).tlb.hitLatency = Tick(parseU64(key, value));
+        editableMmu(cfg).tlb.hitLatency = Tick(parseU64(key, value));
 
-        // --- Design-zoo knobs (do NOT flip mmuKind: they only matter
-        // when mmu.design selects the matching design) -----------------
+        // --- Design-zoo knobs (only matter when mmu.design selects the
+        // matching design) ---------------------------------------------
     } else if (key == "mmu.range.entries") {
         cfg.rangeMmu.entries = std::size_t(parseU64(key, value));
     } else if (key == "mmu.range.maxPages") {
@@ -482,13 +479,15 @@ applyOverrides(SystemConfig &cfg, const OverrideList &overrides)
 const std::vector<BinderKeyDoc> &
 binderKeyTable()
 {
+    static const std::string design_doc =
+        translationDesignList() +
+        " (the design-zoo selector; set before mmu.*)";
     static const std::vector<BinderKeyDoc> table{
         {"name", "stats prefix of the built System"},
         {"seed", "root random seed (per-workload streams derive)"},
         {"numNpus", "NPU count; >1 shares the MMU via the router"},
         {"bufferDepth", "tile-buffer depth (2 = double buffering)"},
         {"dmaBurstBytes", "system-level DMA burst override (0 = npu)"},
-        {"mmuKind", "translation design (alias of mmu.design)"},
         {"routerPolicy", "shared|partitioned walker arbitration"},
         {"sharedMemory", "0|1: all NPUs contend for one memory node"},
         {"hostDramBytes", "host DRAM capacity (K/M/G ok)"},
@@ -496,7 +495,8 @@ binderKeyTable()
         {"pageShift", "page size of the translation stream (12|21)"},
         {"vaScatterShift", "VA-layout scatter shift (0 = packed)"},
         {"preset", "dlrm_paging|ncf_paging canned machine "
-                   "(keeps name/seed/mmuKind; set mmuKind first)"},
+                   "(keeps name/seed/mmu.design; set mmu.design "
+                   "first)"},
         {"npu.dmaBurstBytes", "per-NPU DMA burst size"},
         {"npu.iaSpmBytes", "activation scratchpad capacity"},
         {"npu.wSpmBytes", "weight scratchpad capacity"},
@@ -504,9 +504,8 @@ binderKeyTable()
         {"memory.bytesPerCycle", "aggregate memory bandwidth"},
         {"memory.accessLatency", "fixed access latency (cycles)"},
         {"memory.interleaveBytes", "channel interleave granularity"},
-        {"mmu.design", "oracle|iommu|neummu|custom|range|pomtlb|nmt "
-                       "(the design-zoo selector; set before mmu.*)"},
-        {"mmu.numPtws", "parallel page-table walkers (Custom-izes)"},
+        {"mmu.design", design_doc.c_str()},
+        {"mmu.numPtws", "parallel page-table walkers"},
         {"mmu.prmbSlots", "PRMB merge slots per PTW (0 = no PTS)"},
         {"mmu.pathCache", "none|tpreg|tpc|uptc walker path cache"},
         {"mmu.sharedCacheEntries", "Tpc/Uptc entry count"},

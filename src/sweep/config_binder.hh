@@ -8,16 +8,17 @@
  *
  * Overrides apply IN ORDER, which makes two idioms work:
  *
- * - "mmuKind=neummu mmu.numPtws=32" starts from the canned NeuMMU
+ * - "mmu.design=neummu mmu.numPtws=32" starts from the canned NeuMMU
  *   design point and edits one knob: the first mmu.* key materializes
- *   the resolved config and flips the kind to Custom.
- * - "mmuKind=baseline preset=dlrm_paging paging.residentLimitPages=48"
+ *   the design's canned config into SystemConfig::mmu.
+ * - "mmu.design=iommu preset=dlrm_paging paging.residentLimitPages=48"
  *   replaces the machine with a canned scenario machine (keeping
- *   name/seed/mmuKind) and then tightens the residency cap.
+ *   name/seed/mmu.design) and then tightens the residency cap.
  *
- * The reverse order is an error, not a silent reset: a
- * mmuKind=/mmu.design= override AFTER earlier mmu.* edits would
- * discard them and throws BindError instead.
+ * The reverse order is an error, not a silent reset: a mmu.design= or
+ * preset= override AFTER earlier mmu.* edits would discard them and
+ * throws BindError instead. pageShift= keeps an edited walker config
+ * in step, so it may come before or after the mmu.* keys.
  *
  * Errors are user errors and throw BindError (never exit), so the
  * SweepEngine can report a misconfigured job without killing the

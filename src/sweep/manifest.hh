@@ -6,7 +6,7 @@
  * JSONL manifest -- one JSON object per line; blank lines and lines
  * starting with '#' are skipped:
  *
- *   {"id": "ptw32", "set": {"mmuKind": "neummu", "mmu.numPtws": 32},
+ *   {"id": "ptw32", "set": {"mmu.design": "neummu", "mmu.numPtws": 32},
  *    "workloads": ["dense:model=CNN1,batch=1"], "reps": 1}
  *
  *   id         optional (defaults to "job<line-index>"); must be
@@ -21,7 +21,7 @@
  *
  * Grid spec -- a compact cross-product expansion for the CLI:
  *
- *   "mmuKind=neummu;mmu.numPtws=8|16|32;workloads=dense:model=CNN1"
+ *   "mmu.design=neummu;mmu.numPtws=8|16|32;workloads=dense:model=CNN1"
  *
  * ';'-separated clauses of key=v1|v2|..., expanded in clause order
  * (rightmost fastest). 'workloads' and 'reps' are job fields (tenants

@@ -9,12 +9,6 @@
 
 namespace neummu {
 
-std::string
-pagingMmuName(PagingMmu mmu)
-{
-    return mmuKindName(mmu);
-}
-
 LatencyBreakdown
 runEmbeddingInference(const EmbeddingModelSpec &spec, unsigned batch,
                       EmbeddingPolicy policy,
@@ -26,13 +20,12 @@ runEmbeddingInference(const EmbeddingModelSpec &spec, unsigned batch,
 SystemConfig
 demandPagingSystemConfig(const EmbeddingModelSpec &spec,
                          const EmbeddingSystemConfig &cfg,
-                         MmuKind mmu_kind, unsigned page_shift)
+                         const std::string &mmu_design,
+                         unsigned page_shift)
 {
-    NEUMMU_ASSERT(mmu_kind != MmuKind::Custom,
-                  "demand paging takes a named MMU design point");
     SystemConfig sys_cfg;
     sys_cfg.name = "paging";
-    sys_cfg.mmuKind = mmu_kind;
+    sys_cfg.mmuDesign = mmu_design;
     sys_cfg.pageShift = page_shift;
     sys_cfg.npu = cfg.npu;
     sys_cfg.memory = cfg.hbm;
@@ -60,11 +53,11 @@ demandPagingWorkloadConfig(const EmbeddingModelSpec &spec,
 
 DemandPagingResult
 runDemandPaging(const EmbeddingModelSpec &spec, unsigned batch,
-                PagingMmu mmu_kind, unsigned page_shift,
+                const std::string &mmu_design, unsigned page_shift,
                 const EmbeddingSystemConfig &cfg, std::uint64_t seed)
 {
     System system(
-        demandPagingSystemConfig(spec, cfg, mmu_kind, page_shift));
+        demandPagingSystemConfig(spec, cfg, mmu_design, page_shift));
     Scheduler scheduler(system);
     Workload &wl = scheduler.add(
         std::make_unique<EmbeddingWorkload>(

@@ -18,7 +18,6 @@
 #include <string>
 
 #include "common/types.hh"
-#include "mmu/mmu_core.hh"
 #include "system/system.hh"
 #include "workloads/embedding.hh"
 #include "workloads/embedding_workload.hh"
@@ -35,21 +34,15 @@ LatencyBreakdown runEmbeddingInference(const EmbeddingModelSpec &spec,
                                        const EmbeddingSystemConfig &cfg);
 
 /**
- * MMU design point for the demand-paging study (Fig. 16). The named
- * MmuKind design points are meaningful here (Custom is not).
- */
-using PagingMmu = MmuKind;
-
-std::string pagingMmuName(PagingMmu mmu);
-
-/**
  * Fig. 16: gather all embeddings for @p batch samples on device 0,
  * demand-paging remote pages into local memory at @p page_shift
- * granularity, with translations served by @p mmu_kind. The dense
- * backend (identical across design points) is included in the total.
+ * granularity, with translations served by the design keyed
+ * @p mmu_design. The dense backend (identical across design points)
+ * is included in the total.
  */
 DemandPagingResult runDemandPaging(const EmbeddingModelSpec &spec,
-                                   unsigned batch, PagingMmu mmu_kind,
+                                   unsigned batch,
+                                   const std::string &mmu_design,
                                    unsigned page_shift,
                                    const EmbeddingSystemConfig &cfg,
                                    std::uint64_t seed = 1);
@@ -64,7 +57,8 @@ DemandPagingResult runDemandPaging(const EmbeddingModelSpec &spec,
  */
 SystemConfig demandPagingSystemConfig(
     const EmbeddingModelSpec &spec, const EmbeddingSystemConfig &cfg,
-    MmuKind mmu_kind, unsigned page_shift = smallPageShift);
+    const std::string &mmu_design,
+    unsigned page_shift = smallPageShift);
 
 /**
  * The matching traffic-source description: a DemandPaging-mode

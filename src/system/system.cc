@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/logging.hh"
-#include "mmu/translation_factory.hh"
 #include "mmu/translation_router.hh"
 #include "serving/serving_engine.hh"
 #include "trace/trace_engine.hh"
@@ -24,12 +23,11 @@ prefixed(const std::string &system_name, const std::string &component)
 MmuConfig
 SystemConfig::resolvedMmuConfig() const
 {
-    NEUMMU_ASSERT(isWalkerCoreKind(mmuKind),
-                  "design '" + mmuKindName(mmuKind) + "' has no "
+    const TranslationDesign &design = translationDesign(mmuDesign);
+    NEUMMU_ASSERT(design.mmuConfig,
+                  "design '" + mmuDesign + "' has no "
                   "MmuConfig; it is configured via its own sub-struct");
-    if (mmuKind == MmuKind::Custom)
-        return mmu;
-    return mmuConfigFor(mmuKind, pageShift);
+    return mmu ? *mmu : design.mmuConfig(pageShift);
 }
 
 System::System(SystemConfig cfg)
@@ -42,11 +40,11 @@ System::System(SystemConfig cfg)
     NEUMMU_ASSERT(_cfg.numNpus >= 1, "a system needs at least one NPU");
 
     // The translation engine is whatever design the factory builds
-    // for cfg.mmuKind; everything downstream (router, paging,
+    // for cfg.mmuDesign; everything downstream (router, paging,
     // serving) only sees the MmuEngine surface.
-    _mmu = makeTranslationEngine(_cfg.mmuKind,
-                                 prefixed(_cfg.name, "mmu"),
-                                 _eq, _pageTable, _cfg);
+    const TranslationDesign &design = translationDesign(_cfg.mmuDesign);
+    _mmu = design.build(prefixed(_cfg.name, "mmu"), _eq, _pageTable,
+                        _cfg);
     _stats.add(_mmu->stats());
 
     if (_cfg.numNpus > 1) {
@@ -76,7 +74,7 @@ System::System(SystemConfig cfg)
         std::uint64_t occupancy = _mmu->walkerBudget();
         std::uint64_t lifetime =
             std::uint64_t(pageTableLevels) * 100 + 64;
-        if (isWalkerCoreKind(_cfg.mmuKind)) {
+        if (design.mmuConfig) {
             const MmuConfig mmu_cfg = _cfg.resolvedMmuConfig();
             occupancy *= 1 + std::uint64_t(mmu_cfg.prmbSlots);
             lifetime = std::uint64_t(pageTableLevels) *
@@ -208,7 +206,7 @@ MmuCore &
 System::mmuCore()
 {
     MmuCore *core = _mmu->asMmuCore();
-    NEUMMU_ASSERT(core, "design '" + mmuKindName(_cfg.mmuKind) +
+    NEUMMU_ASSERT(core, "design '" + _cfg.mmuDesign +
                             "' is not a walker-core MmuCore");
     return *core;
 }

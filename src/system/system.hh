@@ -2,11 +2,11 @@
  * @file
  * Declarative machine composition. A SystemConfig describes the whole
  * simulated machine -- N NPUs (tile pipeline + DMA), one translation
- * engine (oracle / baseline IOMMU / NeuMMU / custom, optionally
- * fanned out through a TranslationRouter when several NPUs share it,
- * Section IV-B), per-NPU local memory, and the host-owned page
- * table / virtual address space -- and System builds and owns that
- * stack on one EventQueue.
+ * engine (any registered design, optionally fanned out through a
+ * TranslationRouter when several NPUs share it, Section IV-B),
+ * per-NPU local memory, and the host-owned page table / virtual
+ * address space -- and System builds and owns that stack on one
+ * EventQueue.
  *
  * Every experiment driver (dense DNNs, embedding gathers, the bench
  * grid, the examples) constructs its machine through this one layer,
@@ -25,6 +25,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -37,6 +38,7 @@
 #include "mmu/nmt.hh"
 #include "mmu/pom_tlb.hh"
 #include "mmu/range_mmu.hh"
+#include "mmu/translation_factory.hh"
 #include "mmu/translation_router.hh"
 #include "npu/dma_engine.hh"
 #include "npu/npu_config.hh"
@@ -101,29 +103,24 @@ struct SystemConfig
 
     // --- Translation -----------------------------------------------
     /**
-     * Named design point, resolved through the translation factory
-     * (see translation_factory.hh). For the named walker-core kinds
-     * the canned MmuConfig (at this system's pageShift) is
-     * instantiated and the `mmu` field below is IGNORED -- tweak
-     * individual walker-core knobs by leaving mmuKind at Custom and
-     * editing `mmu` directly. The zoo kinds (RangeMmu/PomTlb/Nmt)
-     * read their own sub-structs below instead of `mmu`.
+     * The translation design, by its factory key (see
+     * translation_factory.hh; "oracle", "iommu", "neummu", "range",
+     * "pomtlb" or "nmt"). The zoo designs read their own sub-structs
+     * below; the walker-core designs build one MmuCore from
+     * resolvedMmuConfig().
      */
-    MmuKind mmuKind = MmuKind::Custom;
-    /** Explicit walker-core config; authoritative only under Custom. */
-    MmuConfig mmu = baselineIommuConfig();
+    std::string mmuDesign = "iommu";
     /**
-     * ConfigBinder bookkeeping: set when an mmu.* override
-     * materialized the Custom design point, so a LATER mmuKind= /
-     * mmu.design= / preset= key errors instead of silently discarding
-     * the edits. Never set by hand.
+     * Hand-edited walker-core settings. Empty builds the design's
+     * canned MmuConfig at pageShift; a value replaces it as-is and
+     * is what the mmu.* binder keys edit.
      */
-    bool mmuEdited = false;
-    /** RangeMMU design knobs (mmuKind == RangeMmu only). */
+    std::optional<MmuConfig> mmu;
+    /** RangeMMU design knobs (mmuDesign "range" only). */
     RangeMmuConfig rangeMmu{};
-    /** POM-TLB design knobs (mmuKind == PomTlb only). */
+    /** POM-TLB design knobs (mmuDesign "pomtlb" only). */
     PomTlbConfig pomTlb{};
-    /** NMT design knobs (mmuKind == Nmt only). */
+    /** NMT design knobs (mmuDesign "nmt" only). */
     NmtConfig nmt{};
     /** Walker arbitration across NPUs (numNpus > 1 only). */
     RouterPolicy routerPolicy = RouterPolicy::Shared;
@@ -187,11 +184,10 @@ struct SystemConfig
     unsigned vaScatterShift = 0;
 
     /**
-     * The MmuConfig a walker-core system will instantiate: the canned
-     * config for a named kind (at this system's pageShift), or `mmu`
-     * as-is for Custom.
-     * @pre isWalkerCoreKind(mmuKind) -- the zoo designs have no
-     *      MmuConfig; they are described by their sub-structs.
+     * The MmuConfig a walker-core system will instantiate: `mmu` when
+     * it holds a value, else the design's canned config at pageShift.
+     * @pre mmuDesign names a walker-core design -- the zoo designs
+     *      have no MmuConfig; they are described by their sub-structs.
      */
     MmuConfig resolvedMmuConfig() const;
 };
@@ -260,11 +256,11 @@ class System
     AddressSpace &addressSpace() { return _vas; }
 
     // --- Translation -----------------------------------------------
-    /** The translation engine the factory built for cfg.mmuKind. */
+    /** The translation engine the factory built for cfg.mmuDesign. */
     MmuEngine &mmu() { return *_mmu; }
     /**
      * Walker-core downcast for drivers that read MmuCore-only stats.
-     * @pre isWalkerCoreKind(config().mmuKind)
+     * @pre config().mmuDesign names a walker-core design
      */
     MmuCore &mmuCore();
     bool hasRouter() const { return _router != nullptr; }

@@ -1,7 +1,7 @@
 /**
  * @file
  * The MMU design zoo: translation-engine factory surface (keys,
- * aliases, error enumeration), ConfigBinder design selection and
+ * error enumeration), ConfigBinder design selection and
  * override ordering, unit behavior of the three non-walker-core
  * designs (RangeMMU, PomTlb, NMT), and their shootdown coherence
  * under demand paging.
@@ -39,25 +39,15 @@ using namespace neummu;
 
 TEST(DesignFactory, TableKeysRoundTripThroughParse)
 {
-    for (const TranslationDesignDoc &doc : translationDesignTable()) {
-        MmuKind kind;
-        ASSERT_TRUE(translationDesignFromName(doc.key, kind))
-            << doc.key;
-        EXPECT_EQ(translationDesignKey(kind), doc.key);
-        EXPECT_EQ(mmuKindName(kind), doc.title) << doc.key;
+    for (const TranslationDesign &design : translationDesignTable()) {
+        EXPECT_EQ(findTranslationDesign(design.key), &design)
+            << design.key;
+        SystemConfig cfg;
+        sweep::applyOverride(cfg, "mmu.design", design.key);
+        EXPECT_EQ(cfg.mmuDesign, design.key);
+        EXPECT_FALSE(cfg.mmu.has_value()) << design.key;
     }
-}
-
-TEST(DesignFactory, AliasesResolve)
-{
-    MmuKind kind;
-    ASSERT_TRUE(translationDesignFromName("baseline", kind));
-    EXPECT_EQ(kind, MmuKind::BaselineIommu);
-    ASSERT_TRUE(translationDesignFromName("RangeMMU", kind));
-    EXPECT_EQ(kind, MmuKind::RangeMmu);
-    ASSERT_TRUE(translationDesignFromName("pom", kind));
-    EXPECT_EQ(kind, MmuKind::PomTlb);
-    EXPECT_FALSE(translationDesignFromName("radix", kind));
+    EXPECT_EQ(findTranslationDesign("radix"), nullptr);
 }
 
 TEST(DesignFactory, UnknownDesignErrorEnumeratesValidKeys)
@@ -71,31 +61,24 @@ TEST(DesignFactory, UnknownDesignErrorEnumeratesValidKeys)
         EXPECT_NE(what.find(translationDesignList()),
                   std::string::npos)
             << what;
-        for (const TranslationDesignDoc &doc :
-             translationDesignTable())
-            EXPECT_NE(what.find(doc.key), std::string::npos)
-                << doc.key;
+        for (const TranslationDesign &design : translationDesignTable())
+            EXPECT_NE(what.find(design.key), std::string::npos)
+                << design.key;
     }
 }
 
 TEST(DesignFactory, BuildsEveryRegisteredDesign)
 {
-    for (const TranslationDesignDoc &doc : translationDesignTable()) {
-        FrameAllocator node("host", Addr(1) << 40, 1 * GiB);
-        PageTable pt(node);
-        EventQueue eq;
+    for (const TranslationDesign &design : translationDesignTable()) {
         SystemConfig cfg;
-        MmuKind kind;
-        ASSERT_TRUE(translationDesignFromName(doc.key, kind));
-        cfg.mmuKind = kind;
-        std::unique_ptr<MmuEngine> engine = makeTranslationEngine(
-            kind, std::string("mmu_") + doc.key, eq, pt, cfg);
-        ASSERT_NE(engine, nullptr) << doc.key;
-        EXPECT_GE(engine->walkerBudget(), 1u) << doc.key;
-        // Walker-core designs (and only those) downcast to MmuCore.
-        EXPECT_EQ(engine->asMmuCore() != nullptr,
-                  isWalkerCoreKind(kind))
-            << doc.key;
+        sweep::applyOverride(cfg, "mmu.design", design.key);
+        System sys(cfg);
+        EXPECT_GE(sys.mmu().walkerBudget(), 1u) << design.key;
+        // Walker-core designs (and only those) carry a canned config
+        // and downcast to MmuCore.
+        EXPECT_EQ(sys.mmu().asMmuCore() != nullptr,
+                  design.mmuConfig != nullptr)
+            << design.key;
     }
 }
 
@@ -106,24 +89,27 @@ TEST(DesignFactory, BuildsEveryRegisteredDesign)
 TEST(DesignBinder, KindThenEditsCustomizesTheNamedPoint)
 {
     SystemConfig cfg;
-    sweep::applyOverride(cfg, "mmuKind", "neummu");
+    sweep::applyOverride(cfg, "mmu.design", "neummu");
     sweep::applyOverride(cfg, "mmu.numPtws", "32");
-    EXPECT_EQ(cfg.mmuKind, MmuKind::Custom);
-    EXPECT_EQ(cfg.mmu.numPtws, 32u);
+    EXPECT_EQ(cfg.mmuDesign, "neummu");
+    ASSERT_TRUE(cfg.mmu.has_value());
+    EXPECT_EQ(cfg.mmu->numPtws, 32u);
     // The rest of the materialized config is the NeuMMU point.
-    EXPECT_EQ(cfg.mmu.prmbSlots, neuMmuConfig().prmbSlots);
+    EXPECT_EQ(cfg.mmu->prmbSlots, neuMmuConfig().prmbSlots);
 }
 
 TEST(DesignBinder, EditsThenKindIsAnOrderingError)
 {
     // Before the fix this order silently discarded the mmu.* edit;
-    // now it refuses deterministically.
+    // now it refuses deterministically, and so does a preset.
     SystemConfig cfg;
     sweep::applyOverride(cfg, "mmu.numPtws", "32");
-    EXPECT_EQ(cfg.mmuKind, MmuKind::Custom);
-    for (const char *key : {"mmuKind", "mmu.design"}) {
+    ASSERT_TRUE(cfg.mmu.has_value());
+    for (const auto &[key, value] :
+         {std::pair<const char *, const char *>{"mmu.design", "neummu"},
+          {"preset", "dlrm_paging"}}) {
         try {
-            sweep::applyOverride(cfg, key, "neummu");
+            sweep::applyOverride(cfg, key, value);
             FAIL() << key << " after mmu.* edits did not throw";
         } catch (const sweep::BindError &err) {
             EXPECT_NE(std::string(err.what()).find("discard"),
@@ -132,10 +118,18 @@ TEST(DesignBinder, EditsThenKindIsAnOrderingError)
         }
     }
     // The edit survived the rejected overrides.
-    EXPECT_EQ(cfg.mmu.numPtws, 32u);
-    // Re-selecting "custom" is a no-op, not an error.
-    sweep::applyOverride(cfg, "mmu.design", "custom");
-    EXPECT_EQ(cfg.mmuKind, MmuKind::Custom);
+    EXPECT_EQ(cfg.mmuDesign, "iommu");
+    EXPECT_EQ(cfg.mmu->numPtws, 32u);
+}
+
+TEST(DesignBinder, PresetOnTheDefaultDesignBinds)
+{
+    // The default config names the iommu design, so a preset needs
+    // no mmu.design= in front of it.
+    SystemConfig cfg;
+    sweep::applyOverride(cfg, "preset", "dlrm_paging");
+    EXPECT_EQ(cfg.mmuDesign, "iommu");
+    EXPECT_FALSE(cfg.mmu.has_value());
 }
 
 TEST(DesignBinder, WalkerCoreKeysRejectedOnZooDesigns)
@@ -155,14 +149,15 @@ TEST(DesignBinder, WalkerCoreKeysRejectedOnZooDesigns)
 TEST(DesignBinder, ZooKnobsBindWithoutFlippingTheKind)
 {
     SystemConfig cfg;
-    const MmuKind before = cfg.mmuKind;
+    const std::string before = cfg.mmuDesign;
     sweep::applyOverride(cfg, "mmu.range.entries", "8");
     sweep::applyOverride(cfg, "mmu.range.maxPages", "64");
     sweep::applyOverride(cfg, "mmu.pom.entries", "4096");
     sweep::applyOverride(cfg, "mmu.pom.ways", "2");
     sweep::applyOverride(cfg, "mmu.nmt.segmentShift", "4");
     sweep::applyOverride(cfg, "mmu.nmt.fetchLatency", "50");
-    EXPECT_EQ(cfg.mmuKind, before);
+    EXPECT_EQ(cfg.mmuDesign, before);
+    EXPECT_FALSE(cfg.mmu.has_value());
     EXPECT_EQ(cfg.rangeMmu.entries, 8u);
     EXPECT_EQ(cfg.rangeMmu.maxRangePages, 64u);
     EXPECT_EQ(cfg.pomTlb.entries, 4096u);
@@ -173,7 +168,7 @@ TEST(DesignBinder, ZooKnobsBindWithoutFlippingTheKind)
     // sub-configs, like sim.*).
     sweep::applyOverride(cfg, "mmu.design", "nmt");
     sweep::applyOverride(cfg, "preset", "dlrm_paging");
-    EXPECT_EQ(cfg.mmuKind, MmuKind::Nmt);
+    EXPECT_EQ(cfg.mmuDesign, "nmt");
     EXPECT_EQ(cfg.nmt.fetchLatency, 50u);
     EXPECT_EQ(cfg.rangeMmu.entries, 8u);
 }
@@ -425,11 +420,11 @@ namespace {
 
 /** The oversub_gather golden scenario on an arbitrary design. */
 void
-runOversubGather(MmuKind kind)
+runOversubGather(const std::string &design)
 {
     const EmbeddingModelSpec spec = makeDlrm();
     const EmbeddingSystemConfig cluster;
-    SystemConfig cfg = demandPagingSystemConfig(spec, cluster, kind);
+    SystemConfig cfg = demandPagingSystemConfig(spec, cluster, design);
     cfg.name = "zoo";
     cfg.seed = 7;
     cfg.paging.enabled = true;
@@ -442,33 +437,33 @@ runOversubGather(MmuKind kind)
                       demandPagingWorkloadConfig(spec, 1, cluster)),
                   0);
     const SchedulerResult result = scheduler.run();
-    ASSERT_TRUE(result.allDone) << mmuKindName(kind);
+    ASSERT_TRUE(result.allDone) << design;
 
     const MmuCounts counts = system.mmu().counts();
     // Every accepted request (requests counts blocked retries too)
     // got exactly one response.
     EXPECT_EQ(counts.responses, counts.requests - counts.blockedIssues)
-        << mmuKindName(kind);
-    EXPECT_GT(counts.faults, 0u) << mmuKindName(kind);
+        << design;
+    EXPECT_GT(counts.faults, 0u) << design;
     // The 48-page cap forces steady-state eviction: the design saw
     // shootdowns and survived them (no stale PA broke the walk
     // asserts, every request completed).
-    EXPECT_GT(counts.shootdowns, 0u) << mmuKindName(kind);
+    EXPECT_GT(counts.shootdowns, 0u) << design;
 }
 
 } // namespace
 
 TEST(ZooCoherence, RangeMmuSurvivesPagingChurn)
 {
-    runOversubGather(MmuKind::RangeMmu);
+    runOversubGather("range");
 }
 
 TEST(ZooCoherence, PomTlbSurvivesPagingChurn)
 {
-    runOversubGather(MmuKind::PomTlb);
+    runOversubGather("pomtlb");
 }
 
 TEST(ZooCoherence, NmtSurvivesPagingChurn)
 {
-    runOversubGather(MmuKind::Nmt);
+    runOversubGather("nmt");
 }

@@ -104,7 +104,7 @@ TEST(DemandPaging, OracleFaultsOncePerTouchedPage)
 {
     const EmbeddingModelSpec spec = makeDlrm();
     const DemandPagingResult r = runDemandPaging(
-        spec, 4, PagingMmu::Oracle, smallPageShift, defaultSystem());
+        spec, 4, "oracle", smallPageShift, defaultSystem());
     EXPECT_GT(r.faults, 0u);
     EXPECT_EQ(r.migratedBytes, r.faults * 4096);
     EXPECT_EQ(r.mmu.faults, r.faults);
@@ -114,12 +114,11 @@ TEST(DemandPaging, DesignPointOrderingAtSmallPages)
 {
     // Fig. 16 (4 KB): oracle >= NeuMMU >> baseline IOMMU.
     const EmbeddingModelSpec spec = makeDlrm();
-    const auto oracle = runDemandPaging(spec, 4, PagingMmu::Oracle,
+    const auto oracle = runDemandPaging(spec, 4, "oracle",
                                         smallPageShift, defaultSystem());
-    const auto neummu = runDemandPaging(spec, 4, PagingMmu::NeuMmu,
+    const auto neummu = runDemandPaging(spec, 4, "neummu",
                                         smallPageShift, defaultSystem());
-    const auto iommu = runDemandPaging(spec, 4,
-                                       PagingMmu::BaselineIommu,
+    const auto iommu = runDemandPaging(spec, 4, "iommu",
                                        smallPageShift, defaultSystem());
     EXPECT_LE(oracle.totalCycles, neummu.totalCycles);
     EXPECT_LT(neummu.totalCycles, iommu.totalCycles);
@@ -136,9 +135,9 @@ TEST(DemandPaging, LargePagesBloatMigrationTraffic)
     // Section VI-A: 2 MB demand paging moves ~512x the bytes for the
     // same useful data and cannot be saved by NeuMMU.
     const EmbeddingModelSpec spec = makeDlrm();
-    const auto small = runDemandPaging(spec, 1, PagingMmu::NeuMmu,
+    const auto small = runDemandPaging(spec, 1, "neummu",
                                        smallPageShift, defaultSystem());
-    const auto large = runDemandPaging(spec, 1, PagingMmu::NeuMmu,
+    const auto large = runDemandPaging(spec, 1, "neummu",
                                        largePageShift, defaultSystem());
     EXPECT_EQ(small.usefulBytes, large.usefulBytes);
     EXPECT_GT(large.migratedBytes, small.migratedBytes * 100);
@@ -148,9 +147,9 @@ TEST(DemandPaging, LargePagesBloatMigrationTraffic)
 TEST(DemandPaging, SameSeedSamePageSizeIsDeterministic)
 {
     const EmbeddingModelSpec spec = makeNcf();
-    const auto a = runDemandPaging(spec, 2, PagingMmu::NeuMmu,
+    const auto a = runDemandPaging(spec, 2, "neummu",
                                    smallPageShift, defaultSystem(), 7);
-    const auto b = runDemandPaging(spec, 2, PagingMmu::NeuMmu,
+    const auto b = runDemandPaging(spec, 2, "neummu",
                                    smallPageShift, defaultSystem(), 7);
     EXPECT_EQ(a.totalCycles, b.totalCycles);
     EXPECT_EQ(a.faults, b.faults);
@@ -162,7 +161,7 @@ TEST(DemandPaging, LocalTablesNeverFault)
     // with a single NPU everything is local and nothing faults.
     EmbeddingSystemConfig cfg = defaultSystem();
     cfg.numNpus = 1;
-    const auto r = runDemandPaging(makeNcf(), 2, PagingMmu::NeuMmu,
+    const auto r = runDemandPaging(makeNcf(), 2, "neummu",
                                    smallPageShift, cfg);
     EXPECT_EQ(r.faults, 0u);
     EXPECT_EQ(r.migratedBytes, 0u);
@@ -172,9 +171,9 @@ TEST(DemandPaging, FaultsScaleWithBatch)
 {
     const EmbeddingModelSpec spec = makeDlrm();
     EmbeddingSystemConfig cfg = defaultSystem();
-    const auto b4 = runDemandPaging(spec, 4, PagingMmu::Oracle,
+    const auto b4 = runDemandPaging(spec, 4, "oracle",
                                     smallPageShift, cfg);
-    const auto b16 = runDemandPaging(spec, 16, PagingMmu::Oracle,
+    const auto b16 = runDemandPaging(spec, 16, "oracle",
                                      smallPageShift, cfg);
     EXPECT_GT(b16.faults, b4.faults);
 }
@@ -184,5 +183,5 @@ TEST(PolicyNames, AreStable)
     EXPECT_EQ(policyName(EmbeddingPolicy::HostStagedCopy), "Baseline");
     EXPECT_EQ(policyName(EmbeddingPolicy::NumaSlow), "NUMA(slow)");
     EXPECT_EQ(policyName(EmbeddingPolicy::NumaFast), "NUMA(fast)");
-    EXPECT_EQ(pagingMmuName(PagingMmu::NeuMmu), "NeuMMU");
+    EXPECT_STREQ(translationDesign("neummu").title, "NeuMMU");
 }

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <queue>
@@ -586,6 +587,9 @@ namespace {
 std::vector<std::pair<int, Tick>>
 runTrainWorkload(unsigned seed, bool use_trains)
 {
+    // Owns the self-re-arming singleton chains; each captures a raw
+    // pointer to itself (a self-capturing shared_ptr would leak).
+    std::deque<std::function<void(std::uint64_t)>> chains;
     EventQueue q;
     std::mt19937_64 rng(seed);
     std::vector<std::pair<int, Tick>> order;
@@ -646,8 +650,8 @@ runTrainWorkload(unsigned seed, bool use_trains)
                     },
                     prio);
             } else {
-                auto chain = std::make_shared<
-                    std::function<void(std::uint64_t)>>();
+                std::function<void(std::uint64_t)> *chain =
+                    &chains.emplace_back();
                 *chain = [&q, &body, base, k, prio,
                           chain](std::uint64_t i) {
                     body(base + int(i));

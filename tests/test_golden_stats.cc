@@ -57,13 +57,14 @@ bool g_updateGolden = false;
 struct GoldenCase
 {
     const char *scenario;
-    MmuKind kind;
+    /** Translation design key. */
+    const char *design;
 };
 
 std::string
 caseName(const GoldenCase &c)
 {
-    return std::string(c.scenario) + "_" + mmuKindName(c.kind);
+    return std::string(c.scenario) + "_" + translationDesign(c.design).title;
 }
 
 std::string
@@ -76,15 +77,15 @@ goldenPath(const GoldenCase &c)
 /**
  * The shared machine description. Everything the scenarios run on is
  * pinned here (seed included), so the dump is a pure function of the
- * (scenario, MMU kind) cell.
+ * (scenario, MMU design) cell.
  */
 SystemConfig
-goldenSystemConfig(MmuKind kind, unsigned num_npus = 1)
+goldenSystemConfig(const std::string &design, unsigned num_npus = 1)
 {
     SystemConfig cfg;
     cfg.name = "golden";
     cfg.seed = 7;
-    cfg.mmuKind = kind;
+    cfg.mmuDesign = design;
     cfg.numNpus = num_npus;
     return cfg;
 }
@@ -98,7 +99,7 @@ runScenario(const GoldenCase &c)
 
     if (std::strcmp(c.scenario, "dense_cnn1") == 0) {
         system =
-            std::make_unique<System>(goldenSystemConfig(c.kind));
+            std::make_unique<System>(goldenSystemConfig(c.design));
         scheduler = std::make_unique<Scheduler>(*system);
         DenseDnnWorkloadConfig wl;
         wl.workload = WorkloadId::CNN1;
@@ -111,7 +112,7 @@ runScenario(const GoldenCase &c)
         const EmbeddingModelSpec spec = makeDlrm();
         const EmbeddingSystemConfig cluster;
         SystemConfig cfg =
-            demandPagingSystemConfig(spec, cluster, c.kind);
+            demandPagingSystemConfig(spec, cluster, c.design);
         // Pin the shared golden name/seed over the canned machine.
         cfg.name = "golden";
         cfg.seed = 7;
@@ -131,7 +132,7 @@ runScenario(const GoldenCase &c)
         const EmbeddingModelSpec spec = makeDlrm();
         const EmbeddingSystemConfig cluster;
         SystemConfig cfg =
-            demandPagingSystemConfig(spec, cluster, c.kind);
+            demandPagingSystemConfig(spec, cluster, c.design);
         cfg.name = "golden";
         cfg.seed = 7;
         cfg.paging.enabled = true;
@@ -146,13 +147,13 @@ runScenario(const GoldenCase &c)
                        0);
     } else if (std::strcmp(c.scenario, "synthetic_hotset") == 0) {
         system =
-            std::make_unique<System>(goldenSystemConfig(c.kind));
+            std::make_unique<System>(goldenSystemConfig(c.design));
         scheduler = std::make_unique<Scheduler>(*system);
         scheduler->add(makeWorkloadFromSpec(
             "synthetic:pattern=hotset,footprint=8M,accesses=2048"));
     } else if (std::strcmp(c.scenario, "tenants2") == 0) {
         system = std::make_unique<System>(
-            goldenSystemConfig(c.kind, 2));
+            goldenSystemConfig(c.design, 2));
         scheduler = std::make_unique<Scheduler>(*system);
         scheduler->add(makeWorkloadFromSpec(
             "synthetic:pattern=uniform,footprint=8M,accesses=1024"));
@@ -268,22 +269,22 @@ TEST(GoldenSweep, ParallelManifestMatchesSerialAndGoldens)
 INSTANTIATE_TEST_SUITE_P(
     Matrix, GoldenStats,
     ::testing::Values(
-        GoldenCase{"dense_cnn1", MmuKind::Oracle},
-        GoldenCase{"dense_cnn1", MmuKind::BaselineIommu},
-        GoldenCase{"dense_cnn1", MmuKind::NeuMmu},
-        GoldenCase{"embedding_gather", MmuKind::Oracle},
-        GoldenCase{"embedding_gather", MmuKind::BaselineIommu},
-        GoldenCase{"embedding_gather", MmuKind::NeuMmu},
-        GoldenCase{"synthetic_hotset", MmuKind::Oracle},
-        GoldenCase{"synthetic_hotset", MmuKind::BaselineIommu},
-        GoldenCase{"synthetic_hotset", MmuKind::NeuMmu},
-        GoldenCase{"synthetic_hotset", MmuKind::RangeMmu},
-        GoldenCase{"synthetic_hotset", MmuKind::PomTlb},
-        GoldenCase{"tenants2", MmuKind::Oracle},
-        GoldenCase{"tenants2", MmuKind::BaselineIommu},
-        GoldenCase{"tenants2", MmuKind::NeuMmu},
-        GoldenCase{"oversub_gather", MmuKind::BaselineIommu},
-        GoldenCase{"oversub_gather", MmuKind::NeuMmu}),
+        GoldenCase{"dense_cnn1", "oracle"},
+        GoldenCase{"dense_cnn1", "iommu"},
+        GoldenCase{"dense_cnn1", "neummu"},
+        GoldenCase{"embedding_gather", "oracle"},
+        GoldenCase{"embedding_gather", "iommu"},
+        GoldenCase{"embedding_gather", "neummu"},
+        GoldenCase{"synthetic_hotset", "oracle"},
+        GoldenCase{"synthetic_hotset", "iommu"},
+        GoldenCase{"synthetic_hotset", "neummu"},
+        GoldenCase{"synthetic_hotset", "range"},
+        GoldenCase{"synthetic_hotset", "pomtlb"},
+        GoldenCase{"tenants2", "oracle"},
+        GoldenCase{"tenants2", "iommu"},
+        GoldenCase{"tenants2", "neummu"},
+        GoldenCase{"oversub_gather", "iommu"},
+        GoldenCase{"oversub_gather", "neummu"}),
     [](const ::testing::TestParamInfo<GoldenCase> &info) {
         return caseName(info.param);
     });

@@ -74,7 +74,7 @@ TEST(DenseIntegration, MorePtwsNeverHurt)
     Tick prev = maxTick;
     for (const unsigned ptws : {8u, 32u, 128u}) {
         DenseExperimentConfig cfg = smallConfig(neuMmuConfig());
-        cfg.system.mmu.numPtws = ptws;
+        cfg.system.mmu->numPtws = ptws;
         const Tick cycles = runDenseExperiment(cfg).totalCycles;
         EXPECT_LE(cycles, prev) << ptws;
         prev = cycles;
@@ -87,8 +87,8 @@ TEST(DenseIntegration, MorePrmbSlotsNeverHurt)
     Tick prev = maxTick;
     for (const unsigned slots : {1u, 4u, 16u, 32u}) {
         DenseExperimentConfig cfg = smallConfig(neuMmuConfig());
-        cfg.system.mmu.numPtws = 8;
-        cfg.system.mmu.prmbSlots = slots;
+        cfg.system.mmu->numPtws = 8;
+        cfg.system.mmu->prmbSlots = slots;
         const Tick cycles = runDenseExperiment(cfg).totalCycles;
         EXPECT_LE(cycles, prev) << slots;
         prev = cycles;
@@ -99,12 +99,12 @@ TEST(DenseIntegration, PrmbFiltersWalks)
 {
     // PRMB merges same-page bursts: walks drop, merges appear.
     DenseExperimentConfig no_prmb = smallConfig(baselineIommuConfig());
-    no_prmb.system.mmu.numPtws = 128;
+    no_prmb.system.mmu->numPtws = 128;
     const DenseExperimentResult without =
         runDenseExperiment(no_prmb);
 
     DenseExperimentConfig with_prmb = no_prmb;
-    with_prmb.system.mmu.prmbSlots = 32;
+    with_prmb.system.mmu->prmbSlots = 32;
     const DenseExperimentResult with = runDenseExperiment(with_prmb);
 
     EXPECT_LT(with.mmu.walks, without.mmu.walks);
@@ -116,7 +116,7 @@ TEST(DenseIntegration, PrmbFiltersWalks)
 TEST(DenseIntegration, TpRegCutsWalkMemoryAccesses)
 {
     DenseExperimentConfig no_tpreg = smallConfig(neuMmuConfig());
-    no_tpreg.system.mmu.pathCache = MmuCacheKind::None;
+    no_tpreg.system.mmu->pathCache = MmuCacheKind::None;
     const DenseExperimentResult without = runDenseExperiment(no_tpreg);
 
     const DenseExperimentResult with =

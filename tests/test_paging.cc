@@ -127,13 +127,14 @@ namespace {
 
 /** A small oversubscribed machine driven through the real MMU. */
 SystemConfig
-pagingSystemConfig(MmuKind kind, std::uint64_t resident_pages,
+pagingSystemConfig(const std::string &design,
+                   std::uint64_t resident_pages,
                    EvictionPolicy policy = EvictionPolicy::Clock)
 {
     SystemConfig cfg;
     cfg.name = "pgtest";
     cfg.seed = 11;
-    cfg.mmuKind = kind;
+    cfg.mmuDesign = design;
     cfg.paging.enabled = true;
     cfg.paging.policy = policy;
     cfg.paging.residentLimitBytes = resident_pages * 4096;
@@ -145,7 +146,7 @@ pagingSystemConfig(MmuKind kind, std::uint64_t resident_pages,
 
 TEST(PagingEngine, SyntheticOversubscriptionReachesSteadyState)
 {
-    SystemConfig cfg = pagingSystemConfig(MmuKind::NeuMmu, 16);
+    SystemConfig cfg = pagingSystemConfig("neummu", 16);
     System sys(cfg);
     Scheduler sched(sys);
     sched.add(makeWorkloadFromSpec(
@@ -169,7 +170,7 @@ TEST(PagingEngine, SyntheticOversubscriptionReachesSteadyState)
 
 TEST(PagingEngine, EvictionsRecycleFramesInsteadOfGrowingTheNode)
 {
-    SystemConfig cfg = pagingSystemConfig(MmuKind::BaselineIommu, 8);
+    SystemConfig cfg = pagingSystemConfig("iommu", 8);
     // A node barely larger than the cap: without recycling the
     // allocator would run out and fatal().
     cfg.npuHbmBytes = 64 * 4096;
@@ -186,7 +187,7 @@ TEST(PagingEngine, EvictionsRecycleFramesInsteadOfGrowingTheNode)
 
 TEST(PagingEngine, InstallResidentPrepopulatesAndEvictsOverCap)
 {
-    SystemConfig cfg = pagingSystemConfig(MmuKind::NeuMmu, 4);
+    SystemConfig cfg = pagingSystemConfig("neummu", 4);
     System sys(cfg);
     PagingEngine &pe = sys.pagingEngine();
     const Segment seg = sys.addressSpace().allocateUnbacked(
@@ -208,10 +209,10 @@ TEST(PagingEngine, EveryResponseResolvesToTheCurrentFrame)
     // verify at delivery time that each PA matches the page table's
     // current mapping -- across evictions, shootdowns, and squashed
     // walks.
-    SystemConfig cfg = pagingSystemConfig(MmuKind::Custom, 8);
+    SystemConfig cfg = pagingSystemConfig("neummu", 8);
     cfg.mmu = neuMmuConfig();
-    cfg.mmu.numPtws = 4;
-    cfg.mmu.prmbSlots = 2;
+    cfg.mmu->numPtws = 4;
+    cfg.mmu->prmbSlots = 2;
     System sys(cfg);
     const Segment seg = sys.addressSpace().allocateUnbacked(
         "hot", 64 * 4096, smallPageShift);
@@ -267,7 +268,7 @@ TEST(PagingEngine, OversubscribedEmbeddingGatherAcceptance)
     const auto run = [&](std::uint64_t limit_pages) {
         SystemConfig cfg =
             demandPagingSystemConfig(spec, cluster,
-                                     MmuKind::NeuMmu);
+                                     "neummu");
         cfg.name = "accept";
         cfg.seed = 11;
         cfg.paging.enabled = true;
@@ -315,7 +316,7 @@ TEST(PagingEngine, LegacyDemandPagingPathUnchangedWithoutEngine)
     const EmbeddingModelSpec spec = makeDlrm();
     const EmbeddingSystemConfig cluster;
     const DemandPagingResult r =
-        runDemandPaging(spec, 2, MmuKind::NeuMmu, smallPageShift,
+        runDemandPaging(spec, 2, "neummu", smallPageShift,
                         cluster, 11);
     EXPECT_GT(r.faults, 0u);
     EXPECT_GT(r.migratedBytes, 0u);

@@ -33,10 +33,10 @@ struct DenseRun
 };
 
 DenseRun
-runDenseViaScheduler(WorkloadId id, MmuKind kind)
+runDenseViaScheduler(WorkloadId id, const std::string &design)
 {
     SystemConfig cfg;
-    cfg.mmuKind = kind;
+    cfg.mmuDesign = design;
     System system(cfg);
 
     DenseDnnWorkloadConfig wl_cfg;
@@ -84,7 +84,7 @@ expectCountsEqual(const MmuCounts &a, const MmuCounts &b)
 TEST(SchedulerPin, DenseCnn1NeuMmuMatchesPreRefactorDriver)
 {
     const DenseRun r =
-        runDenseViaScheduler(WorkloadId::CNN1, MmuKind::NeuMmu);
+        runDenseViaScheduler(WorkloadId::CNN1, "neummu");
     EXPECT_EQ(r.totalCycles, 340592u);
     EXPECT_EQ(r.mmu.requests, 245300u);
     EXPECT_EQ(r.mmu.responses, 245300u);
@@ -100,7 +100,7 @@ TEST(SchedulerPin, DenseCnn1NeuMmuMatchesPreRefactorDriver)
 TEST(SchedulerPin, DenseRnn1NeuMmuMatchesPreRefactorDriver)
 {
     const DenseRun r =
-        runDenseViaScheduler(WorkloadId::RNN1, MmuKind::NeuMmu);
+        runDenseViaScheduler(WorkloadId::RNN1, "neummu");
     EXPECT_EQ(r.totalCycles, 209456u);
     EXPECT_EQ(r.mmu.requests, 204880u);
     EXPECT_EQ(r.mmu.tlbHits, 32u);
@@ -115,7 +115,7 @@ TEST(SchedulerPin, DenseCnn1BaselineIommuMatchesPreRefactorDriver)
     // The blocked/stalling path (issue-port rejections, retries) must
     // also be cycle-identical, not just the happy path.
     const DenseRun r =
-        runDenseViaScheduler(WorkloadId::CNN1, MmuKind::BaselineIommu);
+        runDenseViaScheduler(WorkloadId::CNN1, "iommu");
     EXPECT_EQ(r.totalCycles, 12256019u);
     EXPECT_EQ(r.mmu.requests, 275268u);
     EXPECT_EQ(r.mmu.responses, 245300u);
@@ -132,10 +132,10 @@ TEST(SchedulerPin, DenseShimEqualsWorkloadPath)
     DenseExperimentConfig cfg;
     cfg.workload = WorkloadId::CNN1;
     cfg.batch = 1;
-    cfg.system.mmuKind = MmuKind::NeuMmu;
+    cfg.system.mmuDesign = "neummu";
     const DenseExperimentResult shim = runDenseExperiment(cfg);
     const DenseRun direct =
-        runDenseViaScheduler(WorkloadId::CNN1, MmuKind::NeuMmu);
+        runDenseViaScheduler(WorkloadId::CNN1, "neummu");
     EXPECT_EQ(shim.totalCycles, direct.totalCycles);
     expectCountsEqual(shim.mmu, direct.mmu);
 }
@@ -185,7 +185,7 @@ TEST(SchedulerPin, EmbeddingInferenceWorkloadMatchesAnalyticModel)
 TEST(SchedulerPin, DemandPagingMatchesPreRefactorDriver)
 {
     const DemandPagingResult r =
-        runDemandPaging(makeDlrm(), 4, PagingMmu::NeuMmu,
+        runDemandPaging(makeDlrm(), 4, "neummu",
                         smallPageShift, EmbeddingSystemConfig{});
     EXPECT_EQ(r.totalCycles, 66903u);
     EXPECT_EQ(r.faults, 190u);
@@ -203,12 +203,12 @@ namespace {
 
 /** Record a synthetic run on a fresh system; return counts + trace. */
 MmuCounts
-recordSynthetic(MmuKind kind, TraceRecorder &recorder,
+recordSynthetic(const std::string &design, TraceRecorder &recorder,
                 std::uint64_t accesses = 512)
 {
     SystemConfig cfg;
     cfg.name = "rec";
-    cfg.mmuKind = kind;
+    cfg.mmuDesign = design;
     System system(cfg);
     recorder.attach(system, 0);
 
@@ -225,12 +225,12 @@ recordSynthetic(MmuKind kind, TraceRecorder &recorder,
 }
 
 MmuCounts
-replayTrace(MmuKind kind, TraceWorkloadConfig tcfg,
+replayTrace(const std::string &design, TraceWorkloadConfig tcfg,
             std::uint64_t *divergences = nullptr)
 {
     SystemConfig cfg;
     cfg.name = "rep";
-    cfg.mmuKind = kind;
+    cfg.mmuDesign = design;
     System system(cfg);
     Scheduler scheduler(system);
     Workload &wl = scheduler.add(
@@ -247,7 +247,7 @@ TEST(TraceRoundTrip, ReplayReproducesIdenticalMmuCounts)
 {
     TraceRecorder recorder;
     const MmuCounts recorded =
-        recordSynthetic(MmuKind::NeuMmu, recorder);
+        recordSynthetic("neummu", recorder);
     ASSERT_GT(recorder.entries().size(), 0u);
 
     TraceWorkloadConfig tcfg;
@@ -255,7 +255,7 @@ TEST(TraceRoundTrip, ReplayReproducesIdenticalMmuCounts)
     tcfg.header = recorder.header();
     std::uint64_t divergences = 1;
     const MmuCounts replayed =
-        replayTrace(MmuKind::NeuMmu, std::move(tcfg), &divergences);
+        replayTrace("neummu", std::move(tcfg), &divergences);
     EXPECT_EQ(divergences, 0u);
     expectCountsEqual(recorded, replayed);
 }
@@ -266,14 +266,14 @@ TEST(TraceRoundTrip, BlockedAttemptsReplayIdentically)
     // those rejected attempts and the replay must reproduce them.
     TraceRecorder recorder;
     const MmuCounts recorded =
-        recordSynthetic(MmuKind::BaselineIommu, recorder);
+        recordSynthetic("iommu", recorder);
     ASSERT_GT(recorded.blockedIssues, 0u);
 
     TraceWorkloadConfig tcfg;
     tcfg.entries = recorder.entries();
     tcfg.header = recorder.header();
     const MmuCounts replayed =
-        replayTrace(MmuKind::BaselineIommu, std::move(tcfg));
+        replayTrace("iommu", std::move(tcfg));
     expectCountsEqual(recorded, replayed);
 }
 
@@ -281,7 +281,7 @@ TEST(TraceRoundTrip, JsonlFileSurvivesWriteAndRead)
 {
     TraceRecorder recorder;
     const MmuCounts recorded =
-        recordSynthetic(MmuKind::NeuMmu, recorder, 64);
+        recordSynthetic("neummu", recorder, 64);
     const std::string path =
         testing::TempDir() + "neummu_trace_roundtrip.jsonl";
     ASSERT_TRUE(recorder.write(path));
@@ -303,7 +303,7 @@ TEST(TraceRoundTrip, JsonlFileSurvivesWriteAndRead)
     TraceWorkloadConfig tcfg;
     tcfg.path = path;
     const MmuCounts replayed =
-        replayTrace(MmuKind::NeuMmu, std::move(tcfg));
+        replayTrace("neummu", std::move(tcfg));
     expectCountsEqual(recorded, replayed);
 }
 
@@ -327,10 +327,10 @@ TEST(TraceRoundTrip, ReplayReportsItsTranslationActivity)
     // The replay drives the translation port directly (no DMA), but
     // its per-workload stats must still reflect the issued traffic.
     TraceRecorder recorder;
-    recordSynthetic(MmuKind::NeuMmu, recorder, 64);
+    recordSynthetic("neummu", recorder, 64);
 
     SystemConfig cfg;
-    cfg.mmuKind = MmuKind::NeuMmu;
+    cfg.mmuDesign = "neummu";
     System system(cfg);
     TraceWorkloadConfig tcfg;
     tcfg.entries = recorder.entries();
@@ -368,7 +368,7 @@ TEST(Scheduler, TwoTenantsFinishWithDisjointStats)
     SystemConfig cfg;
     cfg.name = "duo";
     cfg.numNpus = 2;
-    cfg.mmuKind = MmuKind::NeuMmu;
+    cfg.mmuDesign = "neummu";
     System system(cfg);
 
     DenseDnnWorkloadConfig dense_cfg;
@@ -427,7 +427,7 @@ TEST(Scheduler, CoRunsAreReproducibleAcrossRuns)
     auto run = [] {
         SystemConfig cfg;
         cfg.numNpus = 2;
-        cfg.mmuKind = MmuKind::NeuMmu;
+        cfg.mmuDesign = "neummu";
         cfg.seed = 7;
         System system(cfg);
         Scheduler scheduler(system);
@@ -610,7 +610,7 @@ TEST(WorkloadFactory, DenseLayersParamTruncatesTheModel)
 {
     auto runTicks = [](std::unique_ptr<Workload> wl) {
         SystemConfig cfg;
-        cfg.mmuKind = MmuKind::NeuMmu;
+        cfg.mmuDesign = "neummu";
         System system(cfg);
         Scheduler scheduler(system);
         Workload &w = scheduler.add(std::move(wl), 0);
@@ -637,7 +637,7 @@ TEST(WorkloadFactory, FactoryRunMatchesDirectConstruction)
 {
     auto run = [](std::unique_ptr<Workload> wl) {
         SystemConfig cfg;
-        cfg.mmuKind = MmuKind::NeuMmu;
+        cfg.mmuDesign = "neummu";
         System system(cfg);
         Scheduler scheduler(system);
         Workload &w = scheduler.add(std::move(wl), 0);
@@ -697,7 +697,7 @@ TEST(Workload, PointerChaseSerializesAccesses)
     // slower per access than the same accesses with MLP.
     auto run = [](SyntheticPattern pattern) {
         SystemConfig cfg;
-        cfg.mmuKind = MmuKind::BaselineIommu;
+        cfg.mmuDesign = "iommu";
         System system(cfg);
         Scheduler scheduler(system);
         SyntheticWorkloadConfig scfg;
@@ -716,7 +716,7 @@ TEST(Workload, HotSetHitsTlbMoreThanUniform)
 {
     auto tlbHitRate = [](SyntheticPattern pattern) {
         SystemConfig cfg;
-        cfg.mmuKind = MmuKind::NeuMmu;
+        cfg.mmuDesign = "neummu";
         System system(cfg);
         Scheduler scheduler(system);
         SyntheticWorkloadConfig scfg;

@@ -15,6 +15,7 @@
 #include <fstream>
 #include <sstream>
 #include <thread>
+#include <tuple>
 
 #include "sweep/json_lite.hh"
 #include "sweep/manifest.hh"
@@ -65,7 +66,7 @@ TEST(ConfigBinder, BindsSystemLevelKeys)
     sweep::applyOverrides(cfg, {{"name", "swept"},
                                 {"seed", "42"},
                                 {"numNpus", "4"},
-                                {"mmuKind", "neummu"},
+                                {"mmu.design", "neummu"},
                                 {"routerPolicy", "partitioned"},
                                 {"sharedMemory", "1"},
                                 {"pageShift", "21"},
@@ -73,7 +74,7 @@ TEST(ConfigBinder, BindsSystemLevelKeys)
     EXPECT_EQ(cfg.name, "swept");
     EXPECT_EQ(cfg.seed, 42u);
     EXPECT_EQ(cfg.numNpus, 4u);
-    EXPECT_EQ(cfg.mmuKind, MmuKind::NeuMmu);
+    EXPECT_EQ(cfg.mmuDesign, "neummu");
     EXPECT_EQ(cfg.routerPolicy, RouterPolicy::Partitioned);
     EXPECT_TRUE(cfg.sharedMemory);
     EXPECT_EQ(cfg.pageShift, 21u);
@@ -83,22 +84,75 @@ TEST(ConfigBinder, BindsSystemLevelKeys)
 TEST(ConfigBinder, MmuKeysMaterializeTheResolvedConfig)
 {
     // Editing one MMU knob of a named design point starts from that
-    // point's canned config and flips the kind to Custom.
+    // point's canned config; the design key stays as it was.
     SystemConfig cfg;
     sweep::applyOverrides(
-        cfg, {{"mmuKind", "neummu"}, {"mmu.numPtws", "32"}});
-    EXPECT_EQ(cfg.mmuKind, MmuKind::Custom);
+        cfg, {{"mmu.design", "neummu"}, {"mmu.numPtws", "32"}});
+    EXPECT_EQ(cfg.mmuDesign, "neummu");
+    ASSERT_TRUE(cfg.mmu.has_value());
     const MmuConfig reference = neuMmuConfig();
-    EXPECT_EQ(cfg.mmu.numPtws, 32u);
-    EXPECT_EQ(cfg.mmu.prmbSlots, reference.prmbSlots);
-    EXPECT_EQ(cfg.mmu.pathCache, reference.pathCache);
-    EXPECT_EQ(cfg.mmu.tlb.entries, reference.tlb.entries);
+    EXPECT_EQ(cfg.mmu->numPtws, 32u);
+    EXPECT_EQ(cfg.mmu->prmbSlots, reference.prmbSlots);
+    EXPECT_EQ(cfg.mmu->pathCache, reference.pathCache);
+    EXPECT_EQ(cfg.mmu->tlb.entries, reference.tlb.entries);
 
     // A second mmu.* key must edit the same materialized config, not
     // re-resolve it.
     sweep::applyOverride(cfg, "mmu.prmbSlots", "4");
-    EXPECT_EQ(cfg.mmu.numPtws, 32u);
-    EXPECT_EQ(cfg.mmu.prmbSlots, 4u);
+    EXPECT_EQ(cfg.mmu->numPtws, 32u);
+    EXPECT_EQ(cfg.mmu->prmbSlots, 4u);
+}
+
+TEST(ConfigBinder, PageShiftKeepsAnEditedMmuInStep)
+{
+    // There is no mmu.pageShift key, so pageShift= must move an
+    // edited walker config along with it: both orders bind the same
+    // config, and it builds (a mismatch would abort the run).
+    const std::vector<sweep::OverrideList> orders = {
+        {{"mmu.design", "neummu"}, {"mmu.numPtws", "32"},
+         {"pageShift", "21"}},
+        {{"pageShift", "21"}, {"mmu.design", "neummu"},
+         {"mmu.numPtws", "32"}},
+    };
+    std::vector<MmuConfig> resolved;
+    for (const sweep::OverrideList &order : orders) {
+        SystemConfig cfg;
+        sweep::applyOverrides(cfg, order);
+        resolved.push_back(cfg.resolvedMmuConfig());
+        EXPECT_EQ(resolved.back().pageShift, 21u);
+        EXPECT_EQ(resolved.back().numPtws, 32u);
+        System sys(cfg);
+        EXPECT_NE(sys.mmu().asMmuCore(), nullptr);
+    }
+    const auto fields = [](const MmuConfig &c) {
+        return std::make_tuple(
+            c.tlb.entries, c.tlb.ways, c.tlb.hitLatency, c.numPtws,
+            c.prmbSlots, c.pathCache, c.sharedCacheEntries,
+            c.sharedCacheReplacement, c.walkLatencyPerLevel,
+            c.pageShift, c.oracle, c.prefetchDepth);
+    };
+    EXPECT_EQ(fields(resolved[0]), fields(resolved[1]));
+}
+
+TEST(ConfigBinder, RejectsRemovedDesignNames)
+{
+    // The design key is the only identity: the old mmuKind= key and
+    // the custom/alias values are gone, and the error lists the keys.
+    SystemConfig cfg;
+    EXPECT_THROW(sweep::applyOverride(cfg, "mmuKind", "neummu"),
+                 sweep::BindError);
+    for (const char *name : {"custom", "baseline", "pom", "rangemmu"}) {
+        try {
+            sweep::applyOverride(cfg, "mmu.design", name);
+            ADD_FAILURE() << "mmu.design=" << name << " still binds";
+        } catch (const sweep::BindError &err) {
+            EXPECT_NE(std::string(err.what()).find(
+                          "oracle|iommu|neummu|range|pomtlb|nmt"),
+                      std::string::npos)
+                << err.what();
+        }
+    }
+    EXPECT_EQ(cfg.mmuDesign, "iommu");
 }
 
 TEST(ConfigBinder, ResidentLimitPagesUsesCurrentPageShift)
@@ -120,13 +174,13 @@ TEST(ConfigBinder, PresetReplacesMachineKeepingIdentity)
     SystemConfig cfg;
     sweep::applyOverrides(cfg, {{"name", "keepme"},
                                 {"seed", "9"},
-                                {"mmuKind", "baseline"},
+                                {"mmu.design", "iommu"},
                                 {"preset", "dlrm_paging"}});
     const SystemConfig reference = demandPagingSystemConfig(
-        makeDlrm(), EmbeddingSystemConfig{}, MmuKind::BaselineIommu);
+        makeDlrm(), EmbeddingSystemConfig{}, "iommu");
     EXPECT_EQ(cfg.name, "keepme");
     EXPECT_EQ(cfg.seed, 9u);
-    EXPECT_EQ(cfg.mmuKind, MmuKind::BaselineIommu);
+    EXPECT_EQ(cfg.mmuDesign, "iommu");
     EXPECT_EQ(cfg.dmaBurstBytes, reference.dmaBurstBytes);
     EXPECT_EQ(cfg.pageShift, reference.pageShift);
 }
@@ -138,12 +192,14 @@ TEST(ConfigBinder, RejectsJunk)
                  sweep::BindError);
     EXPECT_THROW(sweep::applyOverride(cfg, "seed", "banana"),
                  sweep::BindError);
-    EXPECT_THROW(sweep::applyOverride(cfg, "mmuKind", "magic"),
+    EXPECT_THROW(sweep::applyOverride(cfg, "mmu.design", "magic"),
                  sweep::BindError);
     EXPECT_THROW(sweep::applyOverride(cfg, "paging.enabled", "maybe"),
                  sweep::BindError);
-    // preset needs a named kind to instantiate.
-    EXPECT_THROW(sweep::applyOverride(cfg, "preset", "dlrm_paging"),
+    // preset after mmu.* edits would discard them.
+    SystemConfig edited;
+    sweep::applyOverride(edited, "mmu.numPtws", "4");
+    EXPECT_THROW(sweep::applyOverride(edited, "preset", "dlrm_paging"),
                  sweep::BindError);
     EXPECT_THROW(sweep::parseOverride("novalue"), sweep::BindError);
     // Every documented key must stay bindable (doc/table drift).
@@ -249,7 +305,7 @@ TEST(Manifest, ParsesJsonlWithCommentsAndDefaults)
         "# comment line\n"
         "\n"
         "{\"id\": \"first\", \"set\": {\"seed\": 3, "
-        "\"mmuKind\": \"neummu\"}, "
+        "\"mmu.design\": \"neummu\"}, "
         "\"workloads\": [\"synthetic:pattern=stride\"], \"reps\": 2}\n"
         "{\"workloads\": \"synthetic:pattern=uniform\", "
         "\"limit\": 500}\n");
@@ -288,7 +344,7 @@ TEST(Manifest, RejectsJunk)
 TEST(Manifest, GridSpecExpandsCrossProduct)
 {
     const std::vector<sweep::JobSpec> jobs = sweep::expandGrid(
-        "mmuKind=neummu;mmu.numPtws=8|16;seed=1|2;"
+        "mmu.design=neummu;mmu.numPtws=8|16;seed=1|2;"
         "workloads=synthetic:pattern=stride+synthetic:pattern=uniform",
         SystemConfig{});
     ASSERT_EQ(jobs.size(), 4u);
@@ -301,9 +357,9 @@ TEST(Manifest, GridSpecExpandsCrossProduct)
     ASSERT_EQ(jobs[0].workloads.size(), 2u);
     EXPECT_EQ(jobs[0].workloads[1], "synthetic:pattern=uniform");
     // Non-varying clauses still bind.
-    EXPECT_EQ(jobs[0].overrides.front().first, "mmuKind");
+    EXPECT_EQ(jobs[0].overrides.front().first, "mmu.design");
 
-    EXPECT_THROW(sweep::expandGrid("mmuKind=neummu", SystemConfig{}),
+    EXPECT_THROW(sweep::expandGrid("mmu.design=neummu", SystemConfig{}),
                  sweep::ManifestError);
     EXPECT_THROW(sweep::expandGrid("", SystemConfig{}),
                  sweep::ManifestError);
@@ -331,7 +387,7 @@ TEST(SweepEngine, DeclarativeJobMatchesDirectConstruction)
 {
     sweep::JobSpec job;
     job.id = "declarative";
-    job.overrides = {{"seed", "5"}, {"mmuKind", "neummu"}};
+    job.overrides = {{"seed", "5"}, {"mmu.design", "neummu"}};
     job.workloads = {
         "synthetic:pattern=hotset,footprint=2M,accesses=512"};
     const sweep::JobOutcome out =
@@ -340,7 +396,7 @@ TEST(SweepEngine, DeclarativeJobMatchesDirectConstruction)
 
     SystemConfig direct;
     direct.seed = 5;
-    direct.mmuKind = MmuKind::NeuMmu;
+    direct.mmuDesign = "neummu";
     EXPECT_EQ(out.statsJson, runDirect(direct, job.workloads));
 }
 
@@ -348,7 +404,7 @@ TEST(SweepEngine, TwoTenantDeclarativeJobRaisesNpuCount)
 {
     sweep::JobSpec job;
     job.id = "tenants";
-    job.overrides = {{"seed", "5"}, {"mmuKind", "baseline"}};
+    job.overrides = {{"seed", "5"}, {"mmu.design", "iommu"}};
     job.workloads = {
         "synthetic:pattern=stride,footprint=1M,accesses=256",
         "synthetic:pattern=uniform,footprint=1M,accesses=256"};
@@ -358,7 +414,7 @@ TEST(SweepEngine, TwoTenantDeclarativeJobRaisesNpuCount)
 
     SystemConfig direct;
     direct.seed = 5;
-    direct.mmuKind = MmuKind::BaselineIommu;
+    direct.mmuDesign = "iommu";
     EXPECT_EQ(out.statsJson, runDirect(direct, job.workloads));
 }
 
@@ -408,7 +464,7 @@ TEST(SweepEngine, RepsCrossCheckDeterminism)
 {
     std::vector<sweep::JobSpec> jobs(1);
     jobs[0].id = "reps";
-    jobs[0].overrides = {{"seed", "7"}, {"mmuKind", "neummu"}};
+    jobs[0].overrides = {{"seed", "7"}, {"mmu.design", "neummu"}};
     jobs[0].workloads = {"synthetic:pattern=uniform,accesses=256"};
     jobs[0].reps = 3;
     const sweep::SweepResults results =
@@ -427,8 +483,7 @@ TEST(SweepEngine, ParallelRunMatchesSerialRun)
         sweep::JobSpec job;
         job.id = "seed" + std::to_string(seed);
         job.overrides = {{"seed", std::to_string(seed)},
-                         {"mmuKind", seed % 2 ? "neummu"
-                                              : "baseline"}};
+                         {"mmu.design", seed % 2 ? "neummu" : "iommu"}};
         job.workloads = {
             "synthetic:pattern=hotset,footprint=2M,accesses=512"};
         jobs.push_back(std::move(job));
@@ -456,13 +511,13 @@ TEST(SweepConcurrency, ConcurrentSystemsMatchSerialRuns)
 {
     SystemConfig cfg_a;
     cfg_a.seed = 11;
-    cfg_a.mmuKind = MmuKind::NeuMmu;
+    cfg_a.mmuDesign = "neummu";
     const std::vector<std::string> wl_a = {
         "synthetic:pattern=hotset,footprint=4M,accesses=1024"};
 
     SystemConfig cfg_b;
     cfg_b.seed = 23;
-    cfg_b.mmuKind = MmuKind::BaselineIommu;
+    cfg_b.mmuDesign = "iommu";
     cfg_b.numNpus = 2;
     const std::vector<std::string> wl_b = {
         "synthetic:pattern=uniform,footprint=2M,accesses=512",
@@ -599,7 +654,7 @@ TEST(SweepEndToEnd, ManifestFileRunsAndMerges)
                "\"workloads\": "
                "[\"synthetic:pattern=stride,accesses=128\"]}\n"
             << "{\"id\": \"b\", \"set\": {\"seed\": 2, "
-               "\"mmuKind\": \"neummu\"}, \"workloads\": "
+               "\"mmu.design\": \"neummu\"}, \"workloads\": "
                "[\"synthetic:pattern=uniform,accesses=128\"]}\n";
     }
     const std::vector<sweep::JobSpec> jobs =

@@ -15,27 +15,26 @@
 
 using namespace neummu;
 
-TEST(SystemConfig, ResolvesNamedMmuKinds)
+TEST(SystemConfig, ResolvesNamedDesigns)
 {
     SystemConfig cfg;
     cfg.pageShift = largePageShift;
 
-    cfg.mmuKind = MmuKind::Oracle;
+    cfg.mmuDesign = "oracle";
     EXPECT_TRUE(cfg.resolvedMmuConfig().oracle);
     EXPECT_EQ(cfg.resolvedMmuConfig().pageShift, largePageShift);
 
-    cfg.mmuKind = MmuKind::BaselineIommu;
+    cfg.mmuDesign = "iommu";
     EXPECT_EQ(cfg.resolvedMmuConfig().numPtws, 8u);
     EXPECT_EQ(cfg.resolvedMmuConfig().prmbSlots, 0u);
 
-    cfg.mmuKind = MmuKind::NeuMmu;
+    cfg.mmuDesign = "neummu";
     EXPECT_EQ(cfg.resolvedMmuConfig().numPtws, 128u);
     EXPECT_EQ(cfg.resolvedMmuConfig().prmbSlots, 32u);
 
-    // Custom defers to the explicit config verbatim.
-    cfg.mmuKind = MmuKind::Custom;
+    // An edited walker config replaces the canned one verbatim.
     cfg.mmu = neuMmuConfig(largePageShift);
-    cfg.mmu.numPtws = 17;
+    cfg.mmu->numPtws = 17;
     EXPECT_EQ(cfg.resolvedMmuConfig().numPtws, 17u);
 }
 
@@ -53,7 +52,7 @@ TEST(System, MultiNpuSharesOneMmuThroughRouter)
 {
     SystemConfig cfg;
     cfg.numNpus = 3;
-    cfg.mmuKind = MmuKind::NeuMmu;
+    cfg.mmuDesign = "neummu";
     System sys(cfg);
 
     EXPECT_EQ(sys.numNpus(), 3u);
@@ -81,7 +80,7 @@ TEST(System, SharedMemoryTopologyUsesOneNode)
 TEST(System, RunDrivesAFetchToCompletion)
 {
     SystemConfig cfg;
-    cfg.mmuKind = MmuKind::NeuMmu;
+    cfg.mmuDesign = "neummu";
     System sys(cfg);
 
     const Segment seg = sys.addressSpace().allocateBacked(
@@ -139,7 +138,7 @@ TEST(System, DenseExperimentOverPrebuiltSystemMatchesOneShot)
     DenseExperimentConfig cfg;
     cfg.workload = WorkloadId::CNN1;
     cfg.batch = 1;
-    cfg.system.mmuKind = MmuKind::NeuMmu;
+    cfg.system.mmuDesign = "neummu";
     cfg.layerOverride = makeWorkload(WorkloadId::CNN1, 1).layers;
     cfg.layerOverride.resize(1);
 
@@ -156,7 +155,6 @@ TEST(System, DenseExperimentOverPrebuiltSystemMatchesOneShot)
 TEST(SystemDeath, MismatchedPageShiftIsCaught)
 {
     SystemConfig cfg;
-    cfg.mmuKind = MmuKind::Custom;
     cfg.mmu = baselineIommuConfig(smallPageShift);
     cfg.pageShift = largePageShift;
     EXPECT_DEATH(System{cfg}, "page size");

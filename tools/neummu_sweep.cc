@@ -8,7 +8,7 @@
  * schema-versioned JSON plus a flat CSV.
  *
  *   neummu_sweep --manifest=jobs.jsonl -j 4 --json=out.json
- *   neummu_sweep --grid="mmuKind=neummu;mmu.numPtws=8|32|128;\
+ *   neummu_sweep --grid="mmu.design=neummu;mmu.numPtws=8|32|128;\
  *                 workloads=dense:model=CNN1,batch=1" -j 4
  *
  * Options:

@@ -31,14 +31,14 @@ main()
     std::printf("%-12s %14s %14s %10s\n", "workload", "single_buf",
                 "double_buf", "speedup");
     for (const bench::GridPoint &gp : points) {
-        DenseExperimentConfig cfg;
-        cfg.workload = gp.workload;
-        cfg.batch = gp.batch;
-        cfg.system.mmu = oracleMmuConfig();
-        cfg.system.bufferDepth = 1;
-        const Tick single = runDenseExperiment(cfg).totalCycles;
-        cfg.system.bufferDepth = 2;
-        const Tick dbl = runDenseExperiment(cfg).totalCycles;
+        SystemConfig sys;
+        sys.mmuDesign = "oracle";
+        sys.bufferDepth = 1;
+        const Tick single =
+            bench::runDense(sys, bench::denseWorkload(gp)).cycles;
+        sys.bufferDepth = 2;
+        const Tick dbl =
+            bench::runDense(sys, bench::denseWorkload(gp)).cycles;
         std::printf("%-12s %14llu %14llu %9.2fx\n", gp.label().c_str(),
                     (unsigned long long)single, (unsigned long long)dbl,
                     double(single) / double(dbl));
@@ -50,19 +50,19 @@ main()
     for (const bench::GridPoint &gp : points) {
         for (const std::uint64_t burst : {256ull, 512ull, 1024ull,
                                           4096ull}) {
-            DenseExperimentConfig cfg;
-            cfg.workload = gp.workload;
-            cfg.batch = gp.batch;
-            cfg.system.npu.dmaBurstBytes = burst;
-            cfg.system.mmu = oracleMmuConfig();
-            const Tick oracle = runDenseExperiment(cfg).totalCycles;
-            cfg.system.mmu = baselineIommuConfig();
-            const DenseExperimentResult r = runDenseExperiment(cfg);
+            SystemConfig sys;
+            sys.npu.dmaBurstBytes = burst;
+            sys.mmuDesign = "oracle";
+            const Tick oracle =
+                bench::runDense(sys, bench::denseWorkload(gp)).cycles;
+            sys.mmuDesign = "iommu";
+            const bench::GridCell r =
+                bench::runDense(sys, bench::denseWorkload(gp));
             std::printf("%-12s %8llu %14llu %14llu %12.4f\n",
                         gp.label().c_str(), (unsigned long long)burst,
                         (unsigned long long)r.mmu.requests,
-                        (unsigned long long)r.totalCycles,
-                        double(oracle) / double(r.totalCycles));
+                        (unsigned long long)r.cycles,
+                        double(oracle) / double(r.cycles));
         }
         std::fflush(stdout);
     }
@@ -72,21 +72,22 @@ main()
     std::printf("%-12s %10s %10s %14s %14s\n", "workload", "no_tpreg",
                 "tpreg", "dram_no_tpreg", "dram_tpreg");
     for (const bench::GridPoint &gp : points) {
-        DenseExperimentConfig cfg;
-        cfg.workload = gp.workload;
-        cfg.batch = gp.batch;
-        cfg.system.mmu = oracleMmuConfig();
-        const Tick oracle = runDenseExperiment(cfg).totalCycles;
-        cfg.system.mmu = neuMmuConfig();
-        cfg.system.mmu->pathCache = MmuCacheKind::None;
-        const DenseExperimentResult no_tpreg = runDenseExperiment(cfg);
-        cfg.system.mmu->pathCache = MmuCacheKind::TpReg;
-        const DenseExperimentResult with_tpreg =
-            runDenseExperiment(cfg);
+        SystemConfig sys;
+        sys.mmuDesign = "oracle";
+        const Tick oracle =
+            bench::runDense(sys, bench::denseWorkload(gp)).cycles;
+        sys.mmuDesign = "neummu";
+        sys.mmu = neuMmuConfig();
+        sys.mmu->pathCache = MmuCacheKind::None;
+        const bench::GridCell no_tpreg =
+            bench::runDense(sys, bench::denseWorkload(gp));
+        sys.mmu->pathCache = MmuCacheKind::TpReg;
+        const bench::GridCell with_tpreg =
+            bench::runDense(sys, bench::denseWorkload(gp));
         std::printf("%-12s %10.4f %10.4f %14llu %14llu\n",
                     gp.label().c_str(),
-                    double(oracle) / double(no_tpreg.totalCycles),
-                    double(oracle) / double(with_tpreg.totalCycles),
+                    double(oracle) / double(no_tpreg.cycles),
+                    double(oracle) / double(with_tpreg.cycles),
                     (unsigned long long)no_tpreg.mmu.walkMemAccesses,
                     (unsigned long long)with_tpreg.mmu.walkMemAccesses);
     }

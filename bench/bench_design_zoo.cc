@@ -246,7 +246,7 @@ main(int argc, char **argv)
         }
     }
 
-    reporter.finish();
+    const int rc = reporter.finish();
     if (!ok) {
         std::printf("\nbench_design_zoo: ACCEPTANCE CHECK FAILED\n");
         return 1;
@@ -254,5 +254,5 @@ main(int argc, char **argv)
     std::printf("\nbench_design_zoo: %zu designs x %zu points, all "
                 "cells completed\n",
                 designs.size(), points.size());
-    return 0;
+    return rc;
 }

@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "bench_util.hh"
-#include "system/embedding_system.hh"
 #include "workloads/embedding.hh"
 #include "workloads/embedding_workload.hh"
 
@@ -45,20 +44,21 @@ CellResult
 runCell(const std::string &design, unsigned batch, EvictionPolicy policy,
         std::uint64_t resident_limit_pages)
 {
-    const EmbeddingModelSpec spec = makeDlrm();
-    const EmbeddingSystemConfig cluster;
-    SystemConfig cfg = demandPagingSystemConfig(spec, cluster, design);
-    cfg.name = "oversub";
+    SystemConfig cfg;
+    sweep::applyOverrides(cfg, {{"name", "oversub"},
+                                {"mmu.design", design},
+                                {"preset", "dlrm_paging"}});
     cfg.paging.enabled = true;
     cfg.paging.policy = policy;
-    cfg.paging.faultLatency = cluster.faultHandlerLatency;
+    cfg.paging.faultLatency = EmbeddingSystemConfig{}.faultHandlerLatency;
     cfg.paging.residentLimitBytes =
         resident_limit_pages * pageSize(cfg.pageShift);
 
     System system(cfg);
     Scheduler scheduler(system);
-    scheduler.add(std::make_unique<EmbeddingWorkload>(
-                      demandPagingWorkloadConfig(spec, batch, cluster)),
+    scheduler.add(makeWorkloadFromSpec(
+                      "embedding:model=dlrm,mode=paging,batch=" +
+                      std::to_string(batch)),
                   0);
     const SchedulerResult run = scheduler.run();
     NEUMMU_ASSERT(run.allDone, "oversubscribed gather never finished");
@@ -207,6 +207,5 @@ main(int argc, char **argv)
                 "fault stalls plus migration bandwidth, not a crash "
                 "-- and NeuMMU's\nwalker pool keeps the translation "
                 "side of that loop off the critical path.\n");
-    reporter.finish();
-    return 0;
+    return reporter.finish();
 }

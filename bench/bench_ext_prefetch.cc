@@ -31,22 +31,20 @@ main(int argc, char **argv)
     {
         const char *name;
         const char *key;
-        MmuConfig cfg;
+        const char *design;
     };
     const Engine engines[] = {
-        {"IOMMU(8 PTW)", "IOMMU_pf", baselineIommuConfig()},
-        {"NeuMMU(128 PTW)", "NeuMMU_pf", neuMmuConfig()},
+        {"IOMMU(8 PTW)", "IOMMU_pf", "iommu"},
+        {"NeuMMU(128 PTW)", "NeuMMU_pf", "neummu"},
     };
-    for (const auto &[name, key, base_cfg] : engines) {
+    for (const auto &[name, key, design] : engines) {
         const std::string prefix = key;
         std::vector<bench::DesignPoint> designs;
         for (const unsigned d : depths) {
             designs.push_back({prefix + std::to_string(d),
-                               [&base_cfg,
-                                d](DenseExperimentConfig &cfg) {
-                                   cfg.system.mmu = base_cfg;
-                                   cfg.system.mmu->prefetchDepth = d;
-                               }});
+                               {{"mmu.design", design},
+                                {"mmu.prefetchDepth",
+                                 std::to_string(d)}}});
         }
 
         std::printf("%s\n%-12s", name, "workload");
@@ -63,7 +61,7 @@ main(int argc, char **argv)
                     std::printf(" %8.4f", c.normalized);
                 std::printf(" %12llu\n",
                             (unsigned long long)
-                                row.back().result.mmu.prefetchWalks);
+                                row.back().mmu.prefetchWalks);
                 std::fflush(stdout);
             });
         std::printf("%-12s", "average");
@@ -80,6 +78,5 @@ main(int argc, char **argv)
                 "prediction, is what the burst regime rewards -- "
                 "consistent\nwith the paper's throughput-first "
                 "thesis.\n");
-    reporter.finish();
-    return 0;
+    return reporter.finish();
 }

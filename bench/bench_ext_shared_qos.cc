@@ -111,6 +111,5 @@ main(int argc, char **argv)
                 "large pool keeps even the partitioned share "
                 "sufficient -- the provisioning\nargument the paper "
                 "makes when leaving QoS policy as future work.\n");
-    reporter.finish();
-    return 0;
+    return reporter.finish();
 }

@@ -24,22 +24,19 @@ main(int argc, char **argv)
     std::printf("%-12s %12s %14s %14s %12s\n", "workload", "norm_perf",
                 "oracle_cyc", "iommu_cyc", "tlb_hit%");
     const std::vector<bench::DesignPoint> designs = {
-        {"IOMMU", [](DenseExperimentConfig &cfg) {
-             cfg.system.mmuDesign = "iommu";
-         }}};
+        {"IOMMU", {{"mmu.design", "iommu"}}}};
     const bench::GridResults results = bench::runGrid(
         SystemConfig{}, designs, bench::denseGrid(), &reporter,
         [](const bench::GridPoint &gp,
            const std::vector<bench::GridCell> &row) {
             const bench::GridCell &c = row.front();
-            const double hits =
-                double(c.result.mmu.tlbHits) /
-                double(c.result.mmu.tlbHits + c.result.mmu.tlbMisses) *
-                100.0;
+            const double hits = double(c.mmu.tlbHits) /
+                                double(c.mmu.tlbHits + c.mmu.tlbMisses) *
+                                100.0;
             std::printf("%-12s %12.4f %14llu %14llu %12.1f\n",
                         gp.label().c_str(), c.normalized,
                         (unsigned long long)c.oracleCycles,
-                        (unsigned long long)c.result.totalCycles, hits);
+                        (unsigned long long)c.cycles, hits);
             std::fflush(stdout);
         });
     std::printf("\naverage normalized performance: %.4f "
@@ -52,12 +49,10 @@ main(int argc, char **argv)
     std::vector<bench::DesignPoint> tlb_designs;
     for (const std::size_t entries :
          {2048ul, 8192ul, 32768ul, 131072ul}) {
-        tlb_designs.push_back(
-            {"IOMMU_tlb" + std::to_string(entries),
-             [entries](DenseExperimentConfig &cfg) {
-                 cfg.system.mmu = baselineIommuConfig();
-                 cfg.system.mmu->tlb.entries = entries;
-             }});
+        tlb_designs.push_back({"IOMMU_tlb" + std::to_string(entries),
+                               {{"mmu.design", "iommu"},
+                                {"mmu.tlb.entries",
+                                 std::to_string(entries)}}});
     }
     const std::vector<bench::GridPoint> probe = {{WorkloadId::CNN1, 1}};
     const bench::GridResults tlb_results = bench::runGrid(
@@ -79,6 +74,5 @@ main(int argc, char **argv)
                 "bursts query the TLB\nbefore the walk returns, so "
                 "capacity does not help)\n",
                 big_norm - base_norm);
-    reporter.finish();
-    return 0;
+    return reporter.finish();
 }

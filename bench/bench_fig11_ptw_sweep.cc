@@ -33,13 +33,10 @@ main(int argc, char **argv)
         // is introduced later (Section IV-C) and would shift the
         // knee left by shortening walks.
         designs.push_back({"PTW" + std::to_string(p),
-                           [p](DenseExperimentConfig &cfg) {
-                               cfg.system.mmu = neuMmuConfig();
-                               cfg.system.mmu->numPtws = p;
-                               cfg.system.mmu->prmbSlots = 32;
-                               cfg.system.mmu->pathCache =
-                                   MmuCacheKind::None;
-                           }});
+                           {{"mmu.design", "neummu"},
+                            {"mmu.numPtws", std::to_string(p)},
+                            {"mmu.prmbSlots", "32"},
+                            {"mmu.pathCache", "none"}}});
     }
 
     std::printf("%-12s", "workload");
@@ -64,6 +61,5 @@ main(int argc, char **argv)
     std::printf("\n\nPaper reference: going from 8 to 128 PTWs closes "
                 "the gap from ~11%% to ~99%%\nof oracle; beyond 128 "
                 "the curve saturates (Section IV-B).\n");
-    reporter.finish();
-    return 0;
+    return reporter.finish();
 }

@@ -26,13 +26,10 @@ main(int argc, char **argv)
                                               128, 256, 512, 1024};
     std::vector<bench::DesignPoint> ptw_designs;
     for (const unsigned p : ptw_counts) {
+        // The baseline IOMMU: no PTS/PRMB, no TPreg.
         ptw_designs.push_back({"noPRMB_PTW" + std::to_string(p),
-                               [p](DenseExperimentConfig &cfg) {
-                                   cfg.system.mmu =
-                                       baselineIommuConfig();
-                                   // no PTS/PRMB, no TPreg
-                                   cfg.system.mmu->numPtws = p;
-                               }});
+                               {{"mmu.design", "iommu"},
+                                {"mmu.numPtws", std::to_string(p)}}});
     }
 
     std::printf("(a) normalized performance, no PRMB\n%-12s",
@@ -71,16 +68,14 @@ main(int argc, char **argv)
     };
     std::vector<bench::DesignPoint> iso_designs;
     for (const Point &pt : points) {
+        // Isolate the PRMB-vs-PTW tradeoff (no TPreg).
         iso_designs.push_back(
             {"PRMB" + std::to_string(pt.prmb) + "_PTW" +
                  std::to_string(pt.ptws),
-             [pt](DenseExperimentConfig &cfg) {
-                 cfg.system.mmu = neuMmuConfig();
-                 cfg.system.mmu->numPtws = pt.ptws;
-                 cfg.system.mmu->prmbSlots = pt.prmb;
-                 // Isolate the PRMB-vs-PTW tradeoff (no TPreg).
-                 cfg.system.mmu->pathCache = MmuCacheKind::None;
-             }});
+             {{"mmu.design", "neummu"},
+              {"mmu.numPtws", std::to_string(pt.ptws)},
+              {"mmu.prmbSlots", std::to_string(pt.prmb)},
+              {"mmu.pathCache", "none"}}});
     }
     const bench::GridResults iso_results = bench::runGrid(
         SystemConfig{}, iso_designs, bench::denseGrid(), &reporter);
@@ -107,6 +102,5 @@ main(int argc, char **argv)
                 ptw_results.meanNormalized("noPRMB_PTW1024"),
                 ptw_results.energyNj("noPRMB_PTW1024") /
                     nominal_energy);
-    reporter.finish();
-    return 0;
+    return reporter.finish();
 }

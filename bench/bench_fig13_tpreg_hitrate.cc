@@ -21,9 +21,7 @@ main(int argc, char **argv)
 
     std::vector<double> l4s, l3s, l2s;
     const std::vector<bench::DesignPoint> designs = {
-        {"NeuMMU", [](DenseExperimentConfig &cfg) {
-             cfg.system.mmuDesign = "neummu";
-         }}};
+        {"NeuMMU", {{"mmu.design", "neummu"}}}};
 
     std::printf("%-12s %10s %10s %10s %12s\n", "workload", "L4idx",
                 "L3idx", "L2idx", "consults");
@@ -31,7 +29,7 @@ main(int argc, char **argv)
         SystemConfig{}, designs, bench::denseGrid(), &reporter,
         [&](const bench::GridPoint &gp,
             const std::vector<bench::GridCell> &row) {
-            const DenseExperimentResult &r = row.front().result;
+            const bench::GridCell &r = row.front();
             const double consults = double(r.tpreg.consults);
             const double l4 = double(r.tpreg.hits[0]) / consults;
             const double l3 = double(r.tpreg.hits[1]) / consults;
@@ -58,6 +56,5 @@ main(int argc, char **argv)
                 "upper path is stable across\na tile stream while the "
                 "2 MB-granular L2 tag churns as PTWs round-robin over\n"
                 "the streamed pages (Section IV-C).\n");
-    reporter.finish();
-    return 0;
+    return reporter.finish();
 }

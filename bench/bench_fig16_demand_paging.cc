@@ -7,12 +7,41 @@
  */
 
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "bench_util.hh"
-#include "system/embedding_system.hh"
+#include "common/text.hh"
+#include "workloads/embedding_workload.hh"
 
 using namespace neummu;
+
+namespace {
+
+/**
+ * One Fig. 16 gather: the model's paging preset machine under
+ * @p design at @p page_shift, @p batch samples, lookup seed 1.
+ */
+DemandPagingResult
+demandPage(const EmbeddingModelSpec &spec, unsigned batch,
+           const std::string &design, unsigned page_shift)
+{
+    SystemConfig sys;
+    sweep::applyOverrides(sys, {{"mmu.design", design},
+                                {"pageShift", std::to_string(page_shift)},
+                                {"preset", lowered(spec.name) + "_paging"}});
+    System system(sys);
+    Scheduler scheduler(system);
+    const std::string wl = "embedding:model=" + lowered(spec.name) +
+                           ",mode=paging,batch=" + std::to_string(batch) +
+                           ",seed=1";
+    const auto &gather = static_cast<const EmbeddingWorkload &>(
+        scheduler.add(makeWorkloadFromSpec(wl), 0));
+    NEUMMU_ASSERT(scheduler.run().allDone, "gather never completed");
+    return gather.pagingResult();
+}
+
+} // namespace
 
 int
 main(int argc, char **argv)
@@ -22,7 +51,6 @@ main(int argc, char **argv)
                        "2 MB pages, IOMMU vs. NeuMMU");
     bench::Reporter reporter("fig16", argc, argv);
 
-    const EmbeddingSystemConfig cfg;
     const std::vector<EmbeddingModelSpec> models = {makeNcf(),
                                                     makeDlrm()};
     const std::vector<unsigned> batches = {1, 4, 8};
@@ -35,13 +63,12 @@ main(int argc, char **argv)
     for (const EmbeddingModelSpec &spec : models) {
         for (const unsigned b : batches) {
             const Tick oracle =
-                runDemandPaging(spec, b, "oracle", smallPageShift, cfg)
-                    .totalCycles;
+                demandPage(spec, b, "oracle", smallPageShift).totalCycles;
             for (const unsigned shift :
                  {smallPageShift, largePageShift}) {
                 for (const std::string mmu : {"iommu", "neummu"}) {
                     const DemandPagingResult r =
-                        runDemandPaging(spec, b, mmu, shift, cfg);
+                        demandPage(spec, b, mmu, shift);
                     const double norm =
                         double(oracle) / double(r.totalCycles);
                     char key[64];
@@ -83,6 +110,5 @@ main(int argc, char **argv)
                 "large pages migrate ~512x the useful bytes)\n",
                 bench::mean(small_iommu), bench::mean(small_neummu),
                 bench::mean(large_neummu));
-    reporter.finish();
-    return 0;
+    return reporter.finish();
 }

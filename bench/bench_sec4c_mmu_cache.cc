@@ -14,7 +14,9 @@
  * one-entry-per-path robustness shows, as the paper reports.
  */
 
+#include <cstdint>
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "bench_util.hh"
@@ -31,34 +33,37 @@ struct CacheTotals
     std::uint64_t none_dram = 0;
 };
 
+/** A NeuMMU whose path cache is @p kind: 8 shared entries, @p repl. */
+bench::DesignPoint
+sharedCache(const std::string &name, const char *kind, const char *repl)
+{
+    return {name,
+            {{"mmu.design", "neummu"},
+             {"mmu.pathCache", kind},
+             {"mmu.sharedCacheEntries", "8"},
+             {"mmu.sharedCacheReplacement", repl}}};
+}
+
+/**
+ * Print one replacement policy's table from the grid's TPC, UPTC and
+ * no-cache cells (design indices @p tpc_col, @p uptc_col and
+ * @p none_col of each row).
+ */
 CacheTotals
-runPolicy(bench::DenseSweep &sweep, MmuCacheReplacement repl,
-          std::size_t entries)
+printPolicy(const bench::GridResults &results, std::size_t num_designs,
+            std::size_t tpc_col, std::size_t uptc_col,
+            std::size_t none_col)
 {
     CacheTotals totals;
     std::printf("%-12s | %8s %8s %8s | %9s | %12s %12s\n", "workload",
                 "TPC_L4", "TPC_L3", "TPC_L2", "UPTC_hit", "TPC_dram",
                 "UPTC_dram");
-    for (const bench::GridPoint &gp : sweep.grid()) {
-        const DenseExperimentResult tpc =
-            sweep.run(gp, [&](auto &cfg) {
-                cfg.system.mmu = neuMmuConfig();
-                cfg.system.mmu->pathCache = MmuCacheKind::Tpc;
-                cfg.system.mmu->sharedCacheEntries = entries;
-                cfg.system.mmu->sharedCacheReplacement = repl;
-            });
-        const DenseExperimentResult uptc =
-            sweep.run(gp, [&](auto &cfg) {
-                cfg.system.mmu = neuMmuConfig();
-                cfg.system.mmu->pathCache = MmuCacheKind::Uptc;
-                cfg.system.mmu->sharedCacheEntries = entries;
-                cfg.system.mmu->sharedCacheReplacement = repl;
-            });
-        const DenseExperimentResult none =
-            sweep.run(gp, [](auto &cfg) {
-                cfg.system.mmu = neuMmuConfig();
-                cfg.system.mmu->pathCache = MmuCacheKind::None;
-            });
+    for (std::size_t row = 0; row * num_designs < results.cells.size();
+         row++) {
+        const bench::GridCell *cells = &results.cells[row * num_designs];
+        const bench::GridCell &tpc = cells[tpc_col];
+        const bench::GridCell &uptc = cells[uptc_col];
+        const bench::GridCell &none = cells[none_col];
 
         const double consults = double(tpc.pathCache.consults);
         const double l4 = tpc.pathCache.levelHits[0] / consults;
@@ -74,11 +79,10 @@ runPolicy(bench::DenseSweep &sweep, MmuCacheReplacement repl,
 
         std::printf("%-12s | %7.1f%% %7.1f%% %7.1f%% | %8.1f%% | "
                     "%12llu %12llu\n",
-                    gp.label().c_str(), l4 * 100, l3 * 100, l2 * 100,
-                    uptc.uptcEntryHitRate * 100,
+                    tpc.point.label().c_str(), l4 * 100, l3 * 100,
+                    l2 * 100, uptc.uptcEntryHitRate * 100,
                     (unsigned long long)tpc.mmu.walkMemAccesses,
                     (unsigned long long)uptc.mmu.walkMemAccesses);
-        std::fflush(stdout);
     }
     return totals;
 }
@@ -112,19 +116,22 @@ main()
                        "TPC vs. UPTC translation-cache design points "
                        "(8 shared entries, scattered VA)");
 
-    bench::DenseSweep sweep;
-    sweep.baseConfig().system.vaScatterShift = 39;
-    constexpr std::size_t cache_entries = 8;
+    SystemConfig base;
+    base.vaScatterShift = 39;
+    const std::vector<bench::DesignPoint> designs = {
+        sharedCache("TPC_fifo", "tpc", "fifo"),
+        sharedCache("UPTC_fifo", "uptc", "fifo"),
+        sharedCache("TPC_lru", "tpc", "lru"),
+        sharedCache("UPTC_lru", "uptc", "lru"),
+        {"none", {{"mmu.design", "neummu"}, {"mmu.pathCache", "none"}}},
+    };
+    const bench::GridResults results = bench::runGrid(base, designs);
 
     std::printf("--- FIFO replacement (small hardware CAM) ---\n");
-    const CacheTotals fifo =
-        runPolicy(sweep, MmuCacheReplacement::Fifo, cache_entries);
-    printSummary(fifo);
+    printSummary(printPolicy(results, designs.size(), 0, 1, 4));
 
     std::printf("\n--- LRU replacement ---\n");
-    const CacheTotals lru =
-        runPolicy(sweep, MmuCacheReplacement::Lru, cache_entries);
-    printSummary(lru);
+    printSummary(printPolicy(results, designs.size(), 2, 3, 4));
 
     std::printf("\nPaper reference: TPC hit rates 99.5/99.5/63.1%% at "
                 "L4/L3/L2, UPTC 92.4%%\nper-entry; TPC removes ~59%% "

@@ -22,12 +22,8 @@ main(int argc, char **argv)
     bench::Reporter reporter("sec4d", argc, argv);
 
     const std::vector<bench::DesignPoint> designs = {
-        {"IOMMU", [](DenseExperimentConfig &cfg) {
-             cfg.system.mmuDesign = "iommu";
-         }},
-        {"NeuMMU", [](DenseExperimentConfig &cfg) {
-             cfg.system.mmuDesign = "neummu";
-         }}};
+        {"IOMMU", {{"mmu.design", "iommu"}}},
+        {"NeuMMU", {{"mmu.design", "neummu"}}}};
 
     std::printf("%-12s %12s %12s %14s %14s\n", "workload", "IOMMU",
                 "NeuMMU", "IOMMU_dram", "NeuMMU_dram");
@@ -38,14 +34,14 @@ main(int argc, char **argv)
             const std::vector<bench::GridCell> &row) {
             const bench::GridCell &iommu = row[0];
             const bench::GridCell &neummu = row[1];
-            iommu_dram += iommu.result.mmu.walkMemAccesses;
-            neummu_dram += neummu.result.mmu.walkMemAccesses;
+            iommu_dram += iommu.mmu.walkMemAccesses;
+            neummu_dram += neummu.mmu.walkMemAccesses;
             std::printf(
                 "%-12s %12.4f %12.4f %14llu %14llu\n",
                 gp.label().c_str(), iommu.normalized,
                 neummu.normalized,
-                (unsigned long long)iommu.result.mmu.walkMemAccesses,
-                (unsigned long long)neummu.result.mmu.walkMemAccesses);
+                (unsigned long long)iommu.mmu.walkMemAccesses,
+                (unsigned long long)neummu.mmu.walkMemAccesses);
             std::fflush(stdout);
         });
 
@@ -62,6 +58,5 @@ main(int argc, char **argv)
     std::printf("  Translation energy reduction:        %5.1fx  "
                 "(16.3x)\n",
                 results.energyNj("IOMMU") / results.energyNj("NeuMMU"));
-    reporter.finish();
-    return 0;
+    return reporter.finish();
 }

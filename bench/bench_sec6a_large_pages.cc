@@ -24,12 +24,8 @@ main(int argc, char **argv)
     SystemConfig base;
     base.pageShift = largePageShift;
     const std::vector<bench::DesignPoint> designs = {
-        {"IOMMU_2MB", [](DenseExperimentConfig &cfg) {
-             cfg.system.mmuDesign = "iommu";
-         }},
-        {"NeuMMU_2MB", [](DenseExperimentConfig &cfg) {
-             cfg.system.mmuDesign = "neummu";
-         }}};
+        {"IOMMU_2MB", {{"mmu.design", "iommu"}}},
+        {"NeuMMU_2MB", {{"mmu.design", "neummu"}}}};
 
     std::printf("%-12s %12s %12s\n", "workload", "IOMMU_2MB",
                 "NeuMMU_2MB");
@@ -49,6 +45,5 @@ main(int argc, char **argv)
     std::printf("Large pages alone look like a silver bullet for "
                 "dense CNNs/RNNs; Fig. 16\nshows why small-page "
                 "translation must stay robust (Section VI-A).\n");
-    reporter.finish();
-    return 0;
+    return reporter.finish();
 }

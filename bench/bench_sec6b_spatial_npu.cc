@@ -24,12 +24,8 @@ main(int argc, char **argv)
     SystemConfig base;
     base.npu.compute = ComputeKind::Spatial;
     const std::vector<bench::DesignPoint> designs = {
-        {"IOMMU", [](DenseExperimentConfig &cfg) {
-             cfg.system.mmuDesign = "iommu";
-         }},
-        {"NeuMMU", [](DenseExperimentConfig &cfg) {
-             cfg.system.mmuDesign = "neummu";
-         }}};
+        {"IOMMU", {{"mmu.design", "iommu"}}},
+        {"NeuMMU", {{"mmu.design", "neummu"}}}};
 
     std::printf("%-12s %12s %12s\n", "workload", "IOMMU", "NeuMMU");
     const bench::GridResults results = bench::runGrid(
@@ -45,6 +41,5 @@ main(int argc, char **argv)
                 "(paper: NeuMMU ~2%% on spatial NPUs)\n",
                 (1.0 - results.meanNormalized("IOMMU")) * 100.0,
                 (1.0 - results.meanNormalized("NeuMMU")) * 100.0);
-    reporter.finish();
-    return 0;
+    return reporter.finish();
 }

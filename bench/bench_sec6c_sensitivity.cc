@@ -44,12 +44,10 @@ main(int argc, char **argv)
                     {"prmb" + std::to_string(prmb) + "_ptw" +
                          std::to_string(ptws) + "_tlb" +
                          std::to_string(tlb),
-                     [prmb, ptws, tlb](DenseExperimentConfig &cfg) {
-                         cfg.system.mmu = neuMmuConfig();
-                         cfg.system.mmu->prmbSlots = prmb;
-                         cfg.system.mmu->numPtws = ptws;
-                         cfg.system.mmu->tlb.entries = tlb;
-                     }});
+                     {{"mmu.design", "neummu"},
+                      {"mmu.prmbSlots", std::to_string(prmb)},
+                      {"mmu.numPtws", std::to_string(ptws)},
+                      {"mmu.tlb.entries", std::to_string(tlb)}}});
             }
         }
     }
@@ -85,27 +83,19 @@ main(int argc, char **argv)
     std::vector<double> iommu_all, neummu_all;
     for (const WorkloadId id : allWorkloads()) {
         for (const unsigned batch : {32u, 64u, 128u}) {
-            DenseExperimentConfig base;
-            base.layerOverride = makeCommonLayer(id, batch).layers;
-            base.workload = id;
-            base.batch = batch;
+            DenseDnnWorkloadConfig wl;
+            wl.workload = id;
+            wl.batch = batch;
+            wl.layerOverride = makeCommonLayer(id, batch).layers;
+            const auto cycles = [&wl](const char *design) {
+                SystemConfig sys;
+                sys.mmuDesign = design;
+                return double(bench::runDense(sys, wl).cycles);
+            };
 
-            DenseExperimentConfig oracle_cfg = base;
-            oracle_cfg.system.mmu = oracleMmuConfig();
-            const Tick oracle =
-                runDenseExperiment(oracle_cfg).totalCycles;
-
-            DenseExperimentConfig iommu_cfg = base;
-            iommu_cfg.system.mmu = baselineIommuConfig();
-            const double iommu =
-                double(oracle) /
-                double(runDenseExperiment(iommu_cfg).totalCycles);
-
-            DenseExperimentConfig neummu_cfg = base;
-            neummu_cfg.system.mmu = neuMmuConfig();
-            const double neummu =
-                double(oracle) /
-                double(runDenseExperiment(neummu_cfg).totalCycles);
+            const double oracle = cycles("oracle");
+            const double iommu = oracle / cycles("iommu");
+            const double neummu = oracle / cycles("neummu");
 
             iommu_all.push_back(iommu);
             neummu_all.push_back(neummu);
@@ -122,6 +112,5 @@ main(int argc, char **argv)
     stats::Group &g = reporter.group("largeBatch");
     g.scalar("iommuMeanNorm").set(bench::mean(iommu_all));
     g.scalar("neummuMeanNorm").set(bench::mean(neummu_all));
-    reporter.finish();
-    return 0;
+    return reporter.finish();
 }

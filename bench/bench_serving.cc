@@ -194,7 +194,7 @@ main(int argc, char **argv)
     std::printf("churn64: same-seed dump %s\n",
                 same_seed ? "byte-identical" : "DIVERGED");
 
-    reporter.finish();
+    const int rc = reporter.finish();
     const bool ok = advancing && same_seed &&
                     full.report.retired > 0 &&
                     full.report.completed > 0;
@@ -203,5 +203,5 @@ main(int argc, char **argv)
         return 1;
     }
     std::printf("\nbench_serving: acceptance checks passed\n");
-    return 0;
+    return rc;
 }

@@ -34,7 +34,6 @@
 #include "npu/dma_engine.hh"
 #include "sim/profiler.hh"
 #include "trace/trace_engine.hh"
-#include "system/embedding_system.hh"
 #include "workloads/embedding_workload.hh"
 #include "workloads/synthetic_workload.hh"
 
@@ -190,16 +189,16 @@ runSynthetic(const std::string &spec, const char *design,
 RunSample
 runPaging(const char *design, unsigned batch)
 {
-    const EmbeddingModelSpec spec = makeDlrm();
-    const EmbeddingSystemConfig cluster;
-    return meter(demandPagingSystemConfig(spec, cluster, design),
-                 [&](System &, Scheduler &scheduler) {
-                     scheduler.add(
-                         std::make_unique<EmbeddingWorkload>(
-                             demandPagingWorkloadConfig(spec, batch,
-                                                        cluster)),
-                         0);
-                 });
+    SystemConfig cfg;
+    sweep::applyOverrides(cfg, {{"name", "paging"},
+                                {"mmu.design", design},
+                                {"preset", "dlrm_paging"}});
+    return meter(cfg, [&](System &, Scheduler &scheduler) {
+        scheduler.add(makeWorkloadFromSpec(
+                          "embedding:model=dlrm,mode=paging,batch=" +
+                          std::to_string(batch)),
+                      0);
+    });
 }
 
 } // namespace
@@ -455,6 +454,5 @@ main(int argc, char **argv)
     std::printf("\n%-22s %40.0f %14.0f\n", "aggregate", agg_events,
                 agg_transl);
 
-    reporter.finish();
-    return 0;
+    return reporter.finish();
 }

@@ -1,35 +1,43 @@
 /**
  * @file
  * Shared helpers for the per-figure bench binaries: the standard
- * (workload x batch) grid of the paper's evaluation, the runGrid
- * sweep entry point over a SystemConfig machine description, oracle
- * caching, and the Reporter that records every grid cell in a
- * StatsRegistry and serves the common --json=<path> output mode.
+ * (workload x batch) grid of the paper's evaluation, runDense (one
+ * DenseDnnWorkload on NPU 0 of a System, through the Scheduler), the
+ * runGrid sweep entry point, and the Reporter that records every grid
+ * cell in a StatsRegistry and serves the common --json=<path> output
+ * mode.
  *
- * runGrid executes through the SweepEngine (src/sweep/), so every
- * grid bench is parallel by default: each cell builds its own System
- * on a worker thread and the per-System determinism certified by the
- * golden matrix makes the results identical to serial execution.
- * Every bench accepts --jobs=N (0 = hardware concurrency, the
- * default); rows still print live, in grid order.
+ * A grid design point is data: a list of ConfigBinder overrides
+ * applied to the grid's base SystemConfig, the same key=value pairs a
+ * sweep manifest's "set" carries. runGrid executes through the
+ * SweepEngine (src/sweep/), so every grid bench is parallel by
+ * default: each cell builds its own System on a worker thread and the
+ * per-System determinism certified by the golden matrix makes the
+ * results identical to serial execution. Every bench with a Reporter
+ * accepts --jobs=N (0 = hardware concurrency, the default); rows
+ * still print live, in grid order.
  */
 
 #ifndef NEUMMU_BENCH_BENCH_UTIL_HH
 #define NEUMMU_BENCH_BENCH_UTIL_HH
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <functional>
 #include <iostream>
-#include <map>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/arg_parser.hh"
+#include "common/logging.hh"
 #include "common/stats_registry.hh"
-#include "driver/dense_experiment.hh"
 #include "sweep/sweep_engine.hh"
 #include "system/scheduler.hh"
+#include "system/system.hh"
+#include "workloads/dense_dnn_workload.hh"
 #include "workloads/models.hh"
 #include "workloads/workload_factory.hh"
 
@@ -77,84 +85,78 @@ denseGrid(std::vector<unsigned> batches = {1, 4, 8})
 }
 
 /**
- * Runs the dense grid once per MMU configuration, normalizing each
- * point to a cached oracle run. The mutator receives a base config
- * (workload/batch already set) and installs the design point.
+ * One named design point of a sweep: ConfigBinder overrides applied,
+ * in order, to the grid's base machine (e.g. {{"mmu.design",
+ * "iommu"}, {"mmu.prmbSlots", "8"}}; see neummu_sweep --list-keys).
  */
-class DenseSweep
-{
-  public:
-    using ConfigMutator = std::function<void(DenseExperimentConfig &)>;
-
-    explicit DenseSweep(std::vector<GridPoint> grid = denseGrid())
-        : _grid(std::move(grid))
-    {
-    }
-
-    /** Base config shared by oracle and design points. */
-    DenseExperimentConfig &baseConfig() { return _base; }
-
-    /** Oracle cycle count for one grid point (cached). */
-    Tick
-    oracleCycles(const GridPoint &gp)
-    {
-        const auto key = std::make_pair(int(gp.workload), gp.batch);
-        const auto it = _oracle.find(key);
-        if (it != _oracle.end())
-            return it->second;
-        DenseExperimentConfig cfg = _base;
-        cfg.workload = gp.workload;
-        cfg.batch = gp.batch;
-        cfg.system.mmuDesign = "oracle";
-        cfg.system.mmu.reset();
-        const Tick cycles = runDenseExperiment(cfg).totalCycles;
-        _oracle.emplace(key, cycles);
-        return cycles;
-    }
-
-    /** Run one grid point under @p mutate. */
-    DenseExperimentResult
-    run(const GridPoint &gp, const ConfigMutator &mutate)
-    {
-        DenseExperimentConfig cfg = _base;
-        cfg.workload = gp.workload;
-        cfg.batch = gp.batch;
-        mutate(cfg);
-        return runDenseExperiment(cfg);
-    }
-
-    /** Normalized performance of one grid point under @p mutate. */
-    double
-    normalized(const GridPoint &gp, const ConfigMutator &mutate)
-    {
-        const DenseExperimentResult r = run(gp, mutate);
-        return double(oracleCycles(gp)) / double(r.totalCycles);
-    }
-
-    const std::vector<GridPoint> &grid() const { return _grid; }
-
-  private:
-    std::vector<GridPoint> _grid;
-    DenseExperimentConfig _base;
-    std::map<std::pair<int, unsigned>, Tick> _oracle;
-};
-
-/** One named MMU/machine design point of a sweep. */
 struct DesignPoint
 {
     std::string name;
-    DenseSweep::ConfigMutator mutate;
+    sweep::OverrideList set;
 };
 
-/** Result of one (grid point, design point) cell. */
+/**
+ * What one dense run measured, plus its grid coordinates when it is
+ * a runGrid cell (point/design/oracleCycles/normalized stay empty
+ * for a standalone runDense).
+ */
 struct GridCell
 {
     GridPoint point{};
     std::string design;
     Tick oracleCycles = 0;
     double normalized = 0.0;
-    DenseExperimentResult result;
+
+    Tick cycles = 0;
+    MmuCounts mmu;
+    double translationEnergyNj = 0.0;
+    std::uint64_t dmaStallCycles = 0;
+    /** Fig. 13 statistics (TPreg path cache only). */
+    TpReg::MatchStats tpreg;
+    /** Section IV-C statistics (Tpc/Uptc path caches only). */
+    MmuCacheStats pathCache;
+    double uptcEntryHitRate = 0.0;
 };
+
+/** The dense traffic source of one grid point. */
+inline DenseDnnWorkloadConfig
+denseWorkload(const GridPoint &gp)
+{
+    DenseDnnWorkloadConfig wl;
+    wl.workload = gp.workload;
+    wl.batch = gp.batch;
+    return wl;
+}
+
+/**
+ * Build the machine @p sys describes, run @p wl to completion on
+ * NPU 0 through the Scheduler, and measure it.
+ */
+inline GridCell
+runDense(const SystemConfig &sys, DenseDnnWorkloadConfig wl)
+{
+    System system(sys);
+    Scheduler scheduler(system);
+    scheduler.add(std::make_unique<DenseDnnWorkload>(std::move(wl)), 0);
+    const SchedulerResult run = scheduler.run();
+    NEUMMU_ASSERT(run.allDone, "dense workload never completed");
+
+    GridCell cell;
+    MmuEngine &mmu = system.mmu();
+    cell.cycles = run.totalCycles;
+    cell.mmu = mmu.counts();
+    cell.translationEnergyNj = mmu.translationEnergyNj();
+    cell.dmaStallCycles = system.dma(0).stallCycles();
+    // Walker-core extras (TPreg, shared path cache, UPTC) only exist
+    // on MmuCore; the zoo designs report their own stats groups.
+    if (const MmuCore *core = mmu.asMmuCore()) {
+        cell.tpreg = core->tpregStats();
+        if (const MmuCacheStats *pcs = core->sharedCacheStats())
+            cell.pathCache = *pcs;
+        cell.uptcEntryHitRate = core->uptcEntryHitRate();
+    }
+    return cell;
+}
 
 /** All cells of one runGrid() call, in (point, design) run order. */
 struct GridResults
@@ -185,7 +187,7 @@ struct GridResults
         double e = 0.0;
         for (const GridCell &c : cells)
             if (c.design == design)
-                e += c.result.translationEnergyNj;
+                e += c.translationEnergyNj;
         return e;
     }
 };
@@ -222,33 +224,41 @@ class Reporter
         stats::Group &g =
             _registry.group(cell.design + "." + cell.point.key());
         g.scalar("normPerf").set(cell.normalized);
-        g.scalar("cycles").set(double(cell.result.totalCycles));
+        g.scalar("cycles").set(double(cell.cycles));
         g.scalar("oracleCycles").set(double(cell.oracleCycles));
-        g.scalar("walks").set(double(cell.result.mmu.walks));
+        g.scalar("walks").set(double(cell.mmu.walks));
         g.scalar("redundantWalks")
-            .set(double(cell.result.mmu.redundantWalks));
+            .set(double(cell.mmu.redundantWalks));
         g.scalar("walkMemAccesses")
-            .set(double(cell.result.mmu.walkMemAccesses));
-        g.scalar("prmbMerges").set(double(cell.result.mmu.prmbMerges));
-        g.scalar("tlbHits").set(double(cell.result.mmu.tlbHits));
-        g.scalar("tlbMisses").set(double(cell.result.mmu.tlbMisses));
+            .set(double(cell.mmu.walkMemAccesses));
+        g.scalar("prmbMerges").set(double(cell.mmu.prmbMerges));
+        g.scalar("tlbHits").set(double(cell.mmu.tlbHits));
+        g.scalar("tlbMisses").set(double(cell.mmu.tlbMisses));
         g.scalar("blockedIssues")
-            .set(double(cell.result.mmu.blockedIssues));
+            .set(double(cell.mmu.blockedIssues));
         g.scalar("dmaStallCycles")
-            .set(double(cell.result.dmaStallCycles));
-        g.scalar("energyNj").set(cell.result.translationEnergyNj);
+            .set(double(cell.dmaStallCycles));
+        g.scalar("energyNj").set(cell.translationEnergyNj);
     }
 
-    /** Handle --json/--stats; call once at the end of main(). */
-    void
+    /**
+     * Handle --json/--stats; call once at the end of main() and
+     * return its value from main(): 1 when a requested --json file
+     * could not be written, else 0.
+     */
+    [[nodiscard]] int
     finish()
     {
         if (_args.getBool("stats", false))
             _registry.dumpText(std::cout);
         const std::string path = _args.get("json", "");
-        if (!path.empty() && _registry.writeJsonFile(path))
-            std::printf("\n[%s] wrote JSON results to %s\n",
-                        _name.c_str(), path.c_str());
+        if (path.empty())
+            return 0;
+        if (!_registry.writeJsonFile(path))
+            return 1;
+        std::printf("\n[%s] wrote JSON results to %s\n", _name.c_str(),
+                    path.c_str());
+        return 0;
     }
 
   private:
@@ -301,14 +311,11 @@ runGrid(const SystemConfig &base,
     for (std::size_t i = 0; i < grid.size(); i++) {
         oracle_jobs[i].id = "oracle." + grid[i].key();
         oracle_jobs[i].runner = [&base, &grid, i]() {
-            DenseExperimentConfig cfg;
-            cfg.workload = grid[i].workload;
-            cfg.batch = grid[i].batch;
-            cfg.system = base;
-            cfg.system.mmuDesign = "oracle";
-            cfg.system.mmu.reset();
+            SystemConfig cfg = base;
+            cfg.mmuDesign = "oracle";
+            cfg.mmu.reset();
             sweep::JobOutcome out;
-            out.totalCycles = runDenseExperiment(cfg).totalCycles;
+            out.totalCycles = runDense(cfg, denseWorkload(grid[i])).cycles;
             return out;
         };
     }
@@ -319,27 +326,24 @@ runGrid(const SystemConfig &base,
     fatalOnFailure(oracle_run);
 
     // Phase 2: every (point, design) cell, streamed to the observer
-    // in grid order as rows complete. Each runner writes its own
-    // pre-sized slot; the progress hook runs under the engine lock.
+    // in grid order as rows complete. Each runner binds its design's
+    // overrides onto the base machine and writes its own pre-sized
+    // slot; the progress hook runs under the engine lock.
     const std::size_t num_designs = designs.size();
-    std::vector<DenseExperimentResult> cell_results(grid.size() *
-                                                    num_designs);
-    std::vector<sweep::JobSpec> cell_jobs(cell_results.size());
+    std::vector<GridCell> cells(grid.size() * num_designs);
+    std::vector<sweep::JobSpec> cell_jobs(cells.size());
     for (std::size_t row = 0; row < grid.size(); row++) {
         for (std::size_t d = 0; d < num_designs; d++) {
             const std::size_t idx = row * num_designs + d;
             cell_jobs[idx].id =
                 designs[d].name + "." + grid[row].key();
-            cell_jobs[idx].runner = [&base, &grid, &designs,
-                                     &cell_results, row, d, idx]() {
-                DenseExperimentConfig cfg;
-                cfg.workload = grid[row].workload;
-                cfg.batch = grid[row].batch;
-                cfg.system = base;
-                designs[d].mutate(cfg);
-                cell_results[idx] = runDenseExperiment(cfg);
+            cell_jobs[idx].runner = [&base, &grid, &designs, &cells,
+                                     row, d, idx]() {
+                SystemConfig cfg = base;
+                sweep::applyOverrides(cfg, designs[d].set);
+                cells[idx] = runDense(cfg, denseWorkload(grid[row]));
                 sweep::JobOutcome out;
-                out.totalCycles = cell_results[idx].totalCycles;
+                out.totalCycles = cells[idx].cycles;
                 return out;
             };
         }
@@ -354,15 +358,14 @@ runGrid(const SystemConfig &base,
             std::vector<GridCell> row;
             row.reserve(num_designs);
             for (std::size_t d = 0; d < num_designs; d++) {
-                GridCell cell;
+                GridCell cell =
+                    std::move(cells[next_row * num_designs + d]);
                 cell.point = grid[next_row];
                 cell.design = designs[d].name;
-                cell.result =
-                    cell_results[next_row * num_designs + d];
                 cell.oracleCycles = Tick(
                     oracle_run.jobs[next_row].outcome.totalCycles);
-                cell.normalized = double(cell.oracleCycles) /
-                                  double(cell.result.totalCycles);
+                cell.normalized =
+                    double(cell.oracleCycles) / double(cell.cycles);
                 if (reporter)
                     reporter->record(cell);
                 row.push_back(std::move(cell));

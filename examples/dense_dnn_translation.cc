@@ -10,16 +10,46 @@
  *                         [--pages=4k|2m] [--spatial]
  */
 
+#include <algorithm>
 #include <cstdio>
+#include <cstdlib>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/arg_parser.hh"
-#include "driver/dense_experiment.hh"
+#include "system/scheduler.hh"
+#include "system/system.hh"
+#include "workloads/dense_dnn_workload.hh"
 
 using namespace neummu;
 
 namespace {
+
+/** What one run of the workload on one machine produced. */
+struct Run
+{
+    Tick cycles = 0;
+    MmuCounts mmu;
+    std::uint64_t dmaStallCycles = 0;
+    std::vector<LayerResult> layers;
+};
+
+/** Run @p wl on NPU 0 of the machine @p sys describes. */
+Run
+runOn(const SystemConfig &sys, const DenseDnnWorkloadConfig &wl)
+{
+    System system(sys);
+    Scheduler scheduler(system);
+    const auto &dense = static_cast<const DenseDnnWorkload &>(
+        scheduler.add(std::make_unique<DenseDnnWorkload>(wl), 0));
+    Run run;
+    run.cycles = scheduler.run().totalCycles;
+    run.mmu = system.mmu().counts();
+    run.dmaStallCycles = system.dma(0).stallCycles();
+    run.layers = dense.layers();
+    return run;
+}
 
 WorkloadId
 parseWorkload(const std::string &name)
@@ -47,12 +77,13 @@ main(int argc, char **argv)
         args.get("pages", "4k") == "2m" ? largePageShift
                                         : smallPageShift;
 
-    DenseExperimentConfig cfg;
-    cfg.workload = workload;
-    cfg.batch = batch;
-    cfg.system.pageShift = page_shift;
+    DenseDnnWorkloadConfig wl;
+    wl.workload = workload;
+    wl.batch = batch;
+    SystemConfig sys;
+    sys.pageShift = page_shift;
     if (args.getBool("spatial", false))
-        cfg.system.npu.compute = ComputeKind::Spatial;
+        sys.npu.compute = ComputeKind::Spatial;
 
     struct DesignPoint
     {
@@ -73,28 +104,28 @@ main(int argc, char **argv)
     std::printf("%s, batch %u, %s pages, %s array\n\n",
                 workloadName(workload).c_str(), batch,
                 page_shift == smallPageShift ? "4 KB" : "2 MB",
-                cfg.system.npu.compute == ComputeKind::Systolic ? "systolic"
+                sys.npu.compute == ComputeKind::Systolic ? "systolic"
                                                          : "spatial");
 
     Tick oracle_cycles = 0;
     std::printf("%-14s %14s %8s %12s %12s %10s\n", "design", "cycles",
                 "norm", "walks", "walkDram", "stall");
     for (const DesignPoint &dp : points) {
-        cfg.system.mmu = dp.mmu;
-        const DenseExperimentResult r = runDenseExperiment(cfg);
+        sys.mmu = dp.mmu;
+        const Run r = runOn(sys, wl);
         if (oracle_cycles == 0)
-            oracle_cycles = r.totalCycles;
+            oracle_cycles = r.cycles;
         std::printf("%-14s %14llu %8.4f %12llu %12llu %10llu\n",
-                    dp.name, (unsigned long long)r.totalCycles,
-                    double(oracle_cycles) / double(r.totalCycles),
+                    dp.name, (unsigned long long)r.cycles,
+                    double(oracle_cycles) / double(r.cycles),
                     (unsigned long long)r.mmu.walks,
                     (unsigned long long)r.mmu.walkMemAccesses,
                     (unsigned long long)r.dmaStallCycles);
     }
 
     // Per-layer view under the baseline IOMMU: which layers hurt.
-    cfg.system.mmu = baselineIommuConfig(page_shift);
-    const DenseExperimentResult detail = runDenseExperiment(cfg);
+    sys.mmu = baselineIommuConfig(page_shift);
+    const Run detail = runOn(sys, wl);
     std::printf("\nper-layer breakdown under the baseline IOMMU "
                 "(top 8 by cycles):\n");
     std::vector<LayerResult> layers = detail.layers;

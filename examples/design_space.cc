@@ -10,14 +10,42 @@
  */
 
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/arg_parser.hh"
-#include "driver/dense_experiment.hh"
-#include "mmu/energy_model.hh"
+#include "system/scheduler.hh"
+#include "system/system.hh"
+#include "workloads/dense_dnn_workload.hh"
 
 using namespace neummu;
+
+namespace {
+
+/** Cycles, walks and translation energy of one run. */
+struct Run
+{
+    Tick cycles = 0;
+    std::uint64_t walks = 0;
+    double energyNj = 0.0;
+};
+
+/** Run @p wl on NPU 0 of the machine @p sys describes. */
+Run
+runOn(const SystemConfig &sys, const DenseDnnWorkloadConfig &wl)
+{
+    System system(sys);
+    Scheduler scheduler(system);
+    scheduler.add(std::make_unique<DenseDnnWorkload>(wl), 0);
+    Run run;
+    run.cycles = scheduler.run().totalCycles;
+    run.walks = system.mmu().counts().walks;
+    run.energyNj = system.mmu().translationEnergyNj();
+    return run;
+}
+
+} // namespace
 
 int
 main(int argc, char **argv)
@@ -31,11 +59,12 @@ main(int argc, char **argv)
     }
     const unsigned batch = unsigned(args.getInt("batch", 4));
 
-    DenseExperimentConfig base;
-    base.workload = workload;
-    base.batch = batch;
-    base.system.mmu = oracleMmuConfig();
-    const Tick oracle = runDenseExperiment(base).totalCycles;
+    DenseDnnWorkloadConfig wl;
+    wl.workload = workload;
+    wl.batch = batch;
+    SystemConfig oracle_sys;
+    oracle_sys.mmuDesign = "oracle";
+    const Tick oracle = runOn(oracle_sys, wl).cycles;
 
     std::printf("%s b%u: oracle = %llu cycles\n\n",
                 workloadName(workload).c_str(), batch,
@@ -61,19 +90,19 @@ main(int argc, char **argv)
     double best_norm = 0.0;
     Candidate best{};
     for (const Candidate &c : grid) {
-        DenseExperimentConfig cfg = base;
-        cfg.system.mmu = MmuConfig{};
-        cfg.system.mmu->tlb = TlbConfig{c.tlb, 0, 5};
-        cfg.system.mmu->numPtws = c.ptws;
-        cfg.system.mmu->prmbSlots = c.prmb;
-        cfg.system.mmu->pathCache = c.cache;
-        const DenseExperimentResult r = runDenseExperiment(cfg);
-        const double norm = double(oracle) / double(r.totalCycles);
+        SystemConfig sys;
+        sys.mmu = MmuConfig{};
+        sys.mmu->tlb = TlbConfig{c.tlb, 0, 5};
+        sys.mmu->numPtws = c.ptws;
+        sys.mmu->prmbSlots = c.prmb;
+        sys.mmu->pathCache = c.cache;
+        const Run r = runOn(sys, wl);
+        const double norm = double(oracle) / double(r.cycles);
         std::printf("%-6u %-6u %-8s %-6zu %10.4f %12llu %14.2f\n",
                     c.ptws, c.prmb,
                     c.cache == MmuCacheKind::TpReg ? "tpreg" : "none",
-                    c.tlb, norm, (unsigned long long)r.mmu.walks,
-                    r.translationEnergyNj / 1000.0);
+                    c.tlb, norm, (unsigned long long)r.walks,
+                    r.energyNj / 1000.0);
         if (norm > best_norm) {
             best_norm = norm;
             best = c;

@@ -7,15 +7,19 @@
  * loses ~95% of performance, NeuMMU ~0%.
  *
  * The machine is described declaratively (SystemConfig) and built by
- * the System layer; pass --dump-stats=1 to see every component's
- * counters from the StatsRegistry after the NeuMMU run.
+ * the System layer; a DenseDnnWorkload runs on NPU 0 through the
+ * Scheduler. Pass --dump-stats=1 to see every component's counters
+ * from the StatsRegistry after the NeuMMU run.
  */
 
 #include <cstdio>
 #include <iostream>
+#include <memory>
 
 #include "common/arg_parser.hh"
-#include "driver/dense_experiment.hh"
+#include "system/scheduler.hh"
+#include "system/system.hh"
+#include "workloads/dense_dnn_workload.hh"
 
 using namespace neummu;
 
@@ -25,10 +29,6 @@ main(int argc, char **argv)
     ArgParser args(argc, argv);
     const unsigned batch = unsigned(args.getInt("batch", 1));
 
-    DenseExperimentConfig cfg;
-    cfg.workload = WorkloadId::CNN1;
-    cfg.batch = batch;
-
     const char *points[] = {"oracle", "iommu", "neummu"};
 
     std::printf("AlexNet (CNN-1), batch %u, 4 KB pages\n\n", batch);
@@ -37,18 +37,26 @@ main(int argc, char **argv)
 
     Tick oracle_cycles = 0;
     for (const std::string design : points) {
-        cfg.system.mmuDesign = design;
-        System system(cfg.system);
-        const DenseExperimentResult r = runDenseExperiment(cfg, system);
+        SystemConfig cfg;
+        cfg.mmuDesign = design;
+        System system(cfg);
+        Scheduler scheduler(system);
+        DenseDnnWorkloadConfig wl;
+        wl.workload = WorkloadId::CNN1;
+        wl.batch = batch;
+        scheduler.add(std::make_unique<DenseDnnWorkload>(wl), 0);
+        const Tick cycles = scheduler.run().totalCycles;
+
         if (oracle_cycles == 0)
-            oracle_cycles = r.totalCycles;
+            oracle_cycles = cycles;
+        const MmuCounts &counts = system.mmu().counts();
         std::printf("%-8s %14llu %10.4f %12llu %12llu %14.2f\n",
                     translationDesign(design).title,
-                    (unsigned long long)r.totalCycles,
-                    double(oracle_cycles) / double(r.totalCycles),
-                    (unsigned long long)r.mmu.walks,
-                    (unsigned long long)r.mmu.walkMemAccesses,
-                    r.translationEnergyNj / 1000.0);
+                    (unsigned long long)cycles,
+                    double(oracle_cycles) / double(cycles),
+                    (unsigned long long)counts.walks,
+                    (unsigned long long)counts.walkMemAccesses,
+                    system.mmu().translationEnergyNj() / 1000.0);
 
         if (design == "neummu" && args.getBool("dump-stats", false)) {
             std::printf("\nStatsRegistry dump (NeuMMU machine):\n");

@@ -10,12 +10,48 @@
  */
 
 #include <cstdio>
+#include <memory>
 #include <string>
 
 #include "common/arg_parser.hh"
-#include "system/embedding_system.hh"
+#include "common/text.hh"
+#include "sweep/config_binder.hh"
+#include "system/scheduler.hh"
+#include "system/system.hh"
+#include "workloads/embedding_workload.hh"
 
 using namespace neummu;
+
+namespace {
+
+/**
+ * Fig. 16 gather on device 0 of @p cluster: the model's paging preset
+ * machine under @p design at @p page_shift, lookup seed 1.
+ */
+DemandPagingResult
+demandPage(const EmbeddingModelSpec &spec, unsigned batch,
+           const std::string &design, unsigned page_shift,
+           const EmbeddingSystemConfig &cluster)
+{
+    SystemConfig sys;
+    sweep::applyOverrides(sys, {{"mmu.design", design},
+                                {"pageShift", std::to_string(page_shift)},
+                                {"preset", lowered(spec.name) + "_paging"}});
+    System system(sys);
+    Scheduler scheduler(system);
+    EmbeddingWorkloadConfig wl;
+    wl.spec = spec;
+    wl.batch = batch;
+    wl.mode = EmbeddingWorkloadMode::DemandPaging;
+    wl.cluster = cluster;
+    wl.seed = 1;
+    const auto &gather = static_cast<const EmbeddingWorkload &>(
+        scheduler.add(std::make_unique<EmbeddingWorkload>(wl), 0));
+    scheduler.run();
+    return gather.pagingResult();
+}
+
+} // namespace
 
 int
 main(int argc, char **argv)
@@ -43,14 +79,14 @@ main(int argc, char **argv)
     std::printf("%-16s %12s %12s %10s\n", "policy", "total_cyc",
                 "lookup_cyc", "vs_base");
     const Tick base_total =
-        runEmbeddingInference(spec, batch,
-                              EmbeddingPolicy::HostStagedCopy, cfg)
+        computeEmbeddingInference(spec, batch,
+                                  EmbeddingPolicy::HostStagedCopy, cfg)
             .total();
     for (const EmbeddingPolicy pol :
          {EmbeddingPolicy::HostStagedCopy, EmbeddingPolicy::NumaSlow,
           EmbeddingPolicy::NumaFast}) {
         const LatencyBreakdown lat =
-            runEmbeddingInference(spec, batch, pol, cfg);
+            computeEmbeddingInference(spec, batch, pol, cfg);
         std::printf("%-16s %12llu %12llu %9.2fx\n",
                     policyName(pol).c_str(),
                     (unsigned long long)lat.total(),
@@ -67,7 +103,7 @@ main(int argc, char **argv)
     for (const unsigned shift : {smallPageShift, largePageShift}) {
         for (const std::string mmu : {"oracle", "iommu", "neummu"}) {
             const DemandPagingResult r =
-                runDemandPaging(spec, paging_batch, mmu, shift, cfg);
+                demandPage(spec, paging_batch, mmu, shift, cfg);
             std::printf("%-10s %-10s %12llu %10llu %10.1fMB\n",
                         shift == smallPageShift ? "4KB" : "2MB",
                         translationDesign(mmu).title,

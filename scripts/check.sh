@@ -127,6 +127,37 @@ if ! grep -q '"evictions"' "$OVERSUB_JSON"; then
 fi
 echo "oversubscription report: $OVERSUB_JSON"
 
+# Grid harness: bench_sec4d_summary runs the paper's dense grid under
+# the IOMMU and NeuMMU design points (binder override lists) through
+# runGrid. A wrong override list or a broken cell runner shows up as
+# a missing summary line or a missing per-cell JSON group.
+SEC4D_JSON="$BUILD_DIR/BENCH_sec4d_summary.json"
+SEC4D_OUT="$BUILD_DIR/BENCH_sec4d_summary.txt"
+"$BUILD_DIR/bench_sec4d_summary" --json="$SEC4D_JSON" > "$SEC4D_OUT"
+for line in 'IOMMU average performance overhead:' \
+            'NeuMMU average performance overhead:' \
+            'Walk DRAM transaction reduction:' \
+            'Translation energy reduction:'; do
+  if ! grep -q "$line" "$SEC4D_OUT"; then
+    echo "error: bench_sec4d_summary printed no '$line' line" >&2
+    exit 1
+  fi
+done
+for key in '"NeuMMU.RNN-3_b08"' '"normPerf"'; do
+  if ! grep -q "$key" "$SEC4D_JSON"; then
+    echo "error: bench_sec4d_summary JSON is missing $key" >&2
+    exit 1
+  fi
+done
+echo "grid harness report: $SEC4D_JSON"
+
+# A bench whose requested --json file cannot be written must fail.
+if "$BUILD_DIR/bench_fig15_numa_embeddings" \
+    --json="$BUILD_DIR/no-such-dir/fig15.json" > /dev/null 2>&1; then
+  echo "error: a bench exited 0 with an unwritable --json path" >&2
+  exit 1
+fi
+
 # --- SweepEngine gates -------------------------------------------------
 # The sweep tool and its checked-in manifests are load-bearing: the
 # smoke manifest pins failure isolation, the golden-matrix manifest
@@ -159,6 +190,21 @@ if ! grep -q '"ok": false' "$SMOKE_JSON"; then
   exit 1
 fi
 echo "sweep smoke report: $SMOKE_JSON"
+
+# An unwritable --json/--csv path is exit code 2, never a silent 0.
+for out_flag in --json --csv; do
+  set +e
+  "$BUILD_DIR/neummu_sweep" \
+      --grid="workloads=dense:model=CNN1,batch=1,layers=1" --quiet=1 \
+      "$out_flag=$BUILD_DIR/no-such-dir/sweep.out" > /dev/null 2>&1
+  rc=$?
+  set -e
+  if [[ "$rc" -ne 2 ]]; then
+    echo "error: neummu_sweep $out_flag to an unwritable path exited" \
+         "$rc, expected 2" >&2
+    exit 1
+  fi
+done
 
 # Parallel golden matrix, CLI path: the 16-config matrix must merge
 # byte-identically whether run on 1 thread or N. (test_golden_stats

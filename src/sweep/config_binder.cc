@@ -1,12 +1,13 @@
 #include "sweep/config_binder.hh"
 
+#include <algorithm>
 #include <cstdlib>
 #include <limits>
 
 #include "common/text.hh"
 #include "mmu/translation_factory.hh"
 #include "serving/arrival.hh"
-#include "system/embedding_system.hh"
+#include "workloads/embedding.hh"
 #include "workloads/models.hh"
 #include "workloads/request_model.hh"
 #include "workloads/workload_factory.hh"
@@ -171,9 +172,13 @@ editableMmu(SystemConfig &cfg)
 }
 
 /**
- * preset=<name>: replace the whole machine with a canned scenario
- * config, preserving name, seed, and mmuDesign (the fields callers
- * are documented to override on the canned configs).
+ * preset=<name>: replace the whole machine with the demand-paging
+ * gather machine of one embedding model, preserving name, seed,
+ * mmuDesign and pageShift (the fields callers are documented to
+ * override on the canned configs). The machine is one gather device
+ * (remote peers appear only as fault targets) on the default NPU and
+ * memory, with the DMA burst sized to cover a whole embedding row:
+ * one run per lookup.
  */
 void
 applyPreset(SystemConfig &cfg, const std::string &value)
@@ -190,25 +195,23 @@ applyPreset(SystemConfig &cfg, const std::string &value)
         throw BindError("preset=" + value + " after earlier mmu.* "
                         "edits would discard them; put preset= "
                         "before any mmu.* key");
-    const std::string name = cfg.name;
-    const std::uint64_t seed = cfg.seed;
+    SystemConfig preset;
+    preset.name = cfg.name;
+    preset.seed = cfg.seed;
+    preset.mmuDesign = cfg.mmuDesign;
+    preset.pageShift = cfg.pageShift;
+    preset.dmaBurstBytes = std::max<std::uint64_t>(
+        preset.npu.dmaBurstBytes, spec.tables.front().rowBytes());
     // sim.* describes how to OBSERVE the simulation, not the machine;
     // a preset replaces the machine but keeps the kernel knobs (so
     // e.g. a base-config "sim.profile=1" survives preset jobs). The
     // zoo design sub-configs ride along for the same reason: they
     // only matter when mmuDesign selects them.
-    const SimConfig sim = cfg.sim;
-    const RangeMmuConfig range = cfg.rangeMmu;
-    const PomTlbConfig pom = cfg.pomTlb;
-    const NmtConfig nmt = cfg.nmt;
-    cfg = demandPagingSystemConfig(spec, EmbeddingSystemConfig{},
-                                   cfg.mmuDesign, cfg.pageShift);
-    cfg.name = name;
-    cfg.seed = seed;
-    cfg.sim = sim;
-    cfg.rangeMmu = range;
-    cfg.pomTlb = pom;
-    cfg.nmt = nmt;
+    preset.sim = cfg.sim;
+    preset.rangeMmu = cfg.rangeMmu;
+    preset.pomTlb = cfg.pomTlb;
+    preset.nmt = cfg.nmt;
+    cfg = std::move(preset);
 }
 
 /**

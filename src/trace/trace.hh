@@ -59,9 +59,7 @@ struct TraceConfig
 
 /**
  * Lifecycle stages, one per span. The order is the display/report
- * order; stageName() must stay in sync. HopToHub, HubQueue and
- * HopToNpu are never recorded by the serial kernel; they stay so the
- * traced dump keeps its per-stage keys.
+ * order; stageName() must stay in sync.
  */
 enum class Stage : std::uint8_t
 {
@@ -73,15 +71,12 @@ enum class Stage : std::uint8_t
     // Translation-request spans (key = router-tagged request id).
     Translation, ///< DMA issue -> response delivery (parent span)
     CreditWait,  ///< DMA blocked on walker backpressure
-    HopToHub,    ///< NPU -> hub ingress hop (unused)
-    HubQueue,    ///< hub-side retry queue (unused)
     TlbHit,      ///< TPREG/TLB lookup that hit
     TlbMiss,     ///< TLB lookup that missed (the detect latency)
     PrmbMerge,   ///< merged into an in-flight walk; wait until drain
     Walk,        ///< page-table walk (aux = radix levels accessed)
     Fault,       ///< page-fault service as seen by the walk
     Lookup,      ///< zoo-design secondary lookup (POM DRAM, NMT fetch)
-    HopToNpu,    ///< hub -> NPU response hop (unused)
     // Synthesized only by the drain-time decomposition.
     QueueDelay,  ///< e2e time not covered by any recorded child span
     Respond,     ///< tail gap between last child span and delivery

@@ -34,10 +34,6 @@ stageName(Stage s)
         return "Translation";
     case Stage::CreditWait:
         return "CreditWait";
-    case Stage::HopToHub:
-        return "HopToHub";
-    case Stage::HubQueue:
-        return "HubQueue";
     case Stage::TlbHit:
         return "TlbHit";
     case Stage::TlbMiss:
@@ -50,8 +46,6 @@ stageName(Stage s)
         return "Fault";
     case Stage::Lookup:
         return "Lookup";
-    case Stage::HopToNpu:
-        return "HopToNpu";
     case Stage::QueueDelay:
         return "QueueDelay";
     case Stage::Respond:

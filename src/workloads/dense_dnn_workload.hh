@@ -2,9 +2,10 @@
  * @file
  * Dense-DNN traffic source (Sections III-IV, VI-A/B/C): tiles one of
  * the paper's six workloads and streams the tile fetches through the
- * bound NPU slot's tile pipeline, layer by layer. This is the
- * event-driven core the DenseExperiment driver is now a shim over;
- * under the Scheduler it co-runs with any other Workload.
+ * bound NPU slot's tile pipeline, layer by layer. Every dense
+ * experiment (the bench grids, the examples, the `dense:` factory
+ * spec) places one on a System slot through the Scheduler, where it
+ * co-runs with any other Workload.
  */
 
 #ifndef NEUMMU_WORKLOADS_DENSE_DNN_WORKLOAD_HH

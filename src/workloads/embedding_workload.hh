@@ -1,8 +1,7 @@
 /**
  * @file
  * Recommender-system traffic source (Section V, Figs. 5/15/16). Owns
- * the multi-NPU embedding machinery the EmbeddingSystem driver is now
- * a shim over:
+ * the multi-NPU embedding machinery:
  *
  * - the analytic Fig. 15 inference-latency model (HostStagedCopy /
  *   NumaSlow / NumaFast all-to-all gather policies), and
@@ -142,8 +141,8 @@ struct EmbeddingWorkloadConfig
     /**
      * Lookup-trace seed; 0 (the default) derives a per-workload
      * stream from the SystemConfig seed, so co-running embedding
-     * tenants draw independent lookup sequences. The legacy
-     * runDemandPaging shim passes its explicit seed through.
+     * tenants draw independent lookup sequences. The Fig. 16 runs
+     * pin seed 1 (`embedding:...,seed=1`).
      */
     std::uint64_t seed = 0;
 };

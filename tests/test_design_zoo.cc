@@ -23,12 +23,10 @@
 #include "sweep/config_binder.hh"
 #include "sweep/manifest.hh"
 #include "sweep/sweep_engine.hh"
-#include "system/embedding_system.hh"
 #include "system/scheduler.hh"
 #include "system/system.hh"
 #include "vm/frame_allocator.hh"
 #include "vm/page_table.hh"
-#include "workloads/embedding_workload.hh"
 #include "workloads/workload_factory.hh"
 
 using namespace neummu;
@@ -422,20 +420,20 @@ namespace {
 void
 runOversubGather(const std::string &design)
 {
-    const EmbeddingModelSpec spec = makeDlrm();
-    const EmbeddingSystemConfig cluster;
-    SystemConfig cfg = demandPagingSystemConfig(spec, cluster, design);
-    cfg.name = "zoo";
-    cfg.seed = 7;
-    cfg.paging.enabled = true;
-    cfg.paging.policy = EvictionPolicy::Clock;
-    cfg.paging.residentLimitBytes = 48 * pageSize(cfg.pageShift);
-    cfg.paging.faultLatency = cluster.faultHandlerLatency;
+    SystemConfig cfg;
+    sweep::applyOverrides(cfg, {{"mmu.design", design},
+                                {"preset", "dlrm_paging"},
+                                {"name", "zoo"},
+                                {"seed", "7"},
+                                {"paging.enabled", "1"},
+                                {"paging.policy", "clock"},
+                                {"paging.residentLimitPages", "48"},
+                                {"paging.faultLatency", "10000"}});
     System system(cfg);
     Scheduler scheduler(system);
-    scheduler.add(std::make_unique<EmbeddingWorkload>(
-                      demandPagingWorkloadConfig(spec, 1, cluster)),
-                  0);
+    scheduler.add(
+        makeWorkloadFromSpec("embedding:model=dlrm,mode=paging,batch=1"),
+        0);
     const SchedulerResult result = scheduler.run();
     ASSERT_TRUE(result.allDone) << design;
 

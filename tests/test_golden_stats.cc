@@ -1,11 +1,12 @@
 /**
  * @file
- * Golden-stats regression harness: runs a fixed matrix of System
- * configurations (Oracle / baseline IOMMU / NeuMMU crossed with a
- * dense CNN layer stream, a demand-paged embedding gather, a
- * synthetic hot-set stream, and a two-tenant co-run) and compares the
- * full StatsRegistry JSON dump byte-for-byte against checked-in
- * golden files under tests/golden/.
+ * Golden-stats regression harness: runs the fixed matrix of System
+ * configurations in scripts/golden_matrix.jsonl (Oracle / baseline
+ * IOMMU / NeuMMU and the zoo designs crossed with a dense CNN layer
+ * stream, a demand-paged embedding gather, a synthetic hot-set
+ * stream, a two-tenant co-run and an oversubscribed gather) and
+ * compares each job's full StatsRegistry JSON dump byte-for-byte
+ * against tests/golden/<job id>.json.
  *
  * This is what certifies that simulator-kernel optimizations are
  * cycle-exact: every counter of every component (simTicks,
@@ -26,19 +27,13 @@
 
 #include <cstring>
 #include <fstream>
-#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "sweep/manifest.hh"
 #include "sweep/sweep_engine.hh"
-#include "system/embedding_system.hh"
-#include "system/scheduler.hh"
 #include "system/system.hh"
-#include "workloads/dense_dnn_workload.hh"
-#include "workloads/embedding_workload.hh"
-#include "workloads/workload_factory.hh"
 
 using namespace neummu;
 
@@ -53,127 +48,24 @@ namespace {
 
 bool g_updateGolden = false;
 
-/** One cell of the golden matrix. */
-struct GoldenCase
+/** The golden matrix, one manifest job per golden file. */
+const std::vector<sweep::JobSpec> &
+goldenJobs()
 {
-    const char *scenario;
-    /** Translation design key. */
-    const char *design;
-};
-
-std::string
-caseName(const GoldenCase &c)
-{
-    return std::string(c.scenario) + "_" + translationDesign(c.design).title;
+    static const std::vector<sweep::JobSpec> jobs = sweep::loadManifest(
+        std::string(NEUMMU_SCRIPTS_DIR) + "/golden_matrix.jsonl",
+        SystemConfig{});
+    return jobs;
 }
 
 std::string
-goldenPath(const GoldenCase &c)
+goldenPath(const sweep::JobSpec &job)
 {
-    return std::string(NEUMMU_GOLDEN_DIR) + "/" + caseName(c) +
-           ".json";
+    return std::string(NEUMMU_GOLDEN_DIR) + "/" + job.id + ".json";
 }
 
-/**
- * The shared machine description. Everything the scenarios run on is
- * pinned here (seed included), so the dump is a pure function of the
- * (scenario, MMU design) cell.
- */
-SystemConfig
-goldenSystemConfig(const std::string &design, unsigned num_npus = 1)
-{
-    SystemConfig cfg;
-    cfg.name = "golden";
-    cfg.seed = 7;
-    cfg.mmuDesign = design;
-    cfg.numNpus = num_npus;
-    return cfg;
-}
-
-/** Run one matrix cell and return the full StatsRegistry JSON. */
-std::string
-runScenario(const GoldenCase &c)
-{
-    std::unique_ptr<System> system;
-    std::unique_ptr<Scheduler> scheduler;
-
-    if (std::strcmp(c.scenario, "dense_cnn1") == 0) {
-        system =
-            std::make_unique<System>(goldenSystemConfig(c.design));
-        scheduler = std::make_unique<Scheduler>(*system);
-        DenseDnnWorkloadConfig wl;
-        wl.workload = WorkloadId::CNN1;
-        wl.batch = 1;
-        wl.layerOverride = makeWorkload(WorkloadId::CNN1, 1).layers;
-        wl.layerOverride.resize(2);
-        scheduler->add(
-            std::make_unique<DenseDnnWorkload>(std::move(wl)), 0);
-    } else if (std::strcmp(c.scenario, "embedding_gather") == 0) {
-        const EmbeddingModelSpec spec = makeDlrm();
-        const EmbeddingSystemConfig cluster;
-        SystemConfig cfg =
-            demandPagingSystemConfig(spec, cluster, c.design);
-        // Pin the shared golden name/seed over the canned machine.
-        cfg.name = "golden";
-        cfg.seed = 7;
-        system = std::make_unique<System>(cfg);
-        scheduler = std::make_unique<Scheduler>(*system);
-        scheduler->add(std::make_unique<EmbeddingWorkload>(
-                           demandPagingWorkloadConfig(spec, 1,
-                                                      cluster)),
-                       0);
-    } else if (std::strcmp(c.scenario, "oversub_gather") == 0) {
-        // Page lifecycle on: the same gather with the resident cap
-        // pinned at 48 pages (~50% of the batch-1 touched set), so
-        // the run exercises steady-state evict + shootdown + refetch
-        // through the PagingEngine. Pinning these dumps freezes the
-        // whole lifecycle stack: eviction order, shootdown counts,
-        // migration timing, and the paging.* group serialization.
-        const EmbeddingModelSpec spec = makeDlrm();
-        const EmbeddingSystemConfig cluster;
-        SystemConfig cfg =
-            demandPagingSystemConfig(spec, cluster, c.design);
-        cfg.name = "golden";
-        cfg.seed = 7;
-        cfg.paging.enabled = true;
-        cfg.paging.policy = EvictionPolicy::Clock;
-        cfg.paging.residentLimitBytes = 48 * pageSize(cfg.pageShift);
-        cfg.paging.faultLatency = cluster.faultHandlerLatency;
-        system = std::make_unique<System>(cfg);
-        scheduler = std::make_unique<Scheduler>(*system);
-        scheduler->add(std::make_unique<EmbeddingWorkload>(
-                           demandPagingWorkloadConfig(spec, 1,
-                                                      cluster)),
-                       0);
-    } else if (std::strcmp(c.scenario, "synthetic_hotset") == 0) {
-        system =
-            std::make_unique<System>(goldenSystemConfig(c.design));
-        scheduler = std::make_unique<Scheduler>(*system);
-        scheduler->add(makeWorkloadFromSpec(
-            "synthetic:pattern=hotset,footprint=8M,accesses=2048"));
-    } else if (std::strcmp(c.scenario, "tenants2") == 0) {
-        system = std::make_unique<System>(
-            goldenSystemConfig(c.design, 2));
-        scheduler = std::make_unique<Scheduler>(*system);
-        scheduler->add(makeWorkloadFromSpec(
-            "synthetic:pattern=uniform,footprint=8M,accesses=1024"));
-        scheduler->add(makeWorkloadFromSpec(
-            "synthetic:pattern=stride,footprint=8M,accesses=1024"));
-    } else {
-        ADD_FAILURE() << "unknown golden scenario " << c.scenario;
-        return "";
-    }
-
-    const SchedulerResult result = scheduler->run();
-    EXPECT_TRUE(result.allDone)
-        << caseName(c) << ": a workload never completed";
-
-    std::ostringstream os;
-    system->dumpStatsJson(os);
-    return os.str();
-}
-
-class GoldenStats : public ::testing::TestWithParam<GoldenCase>
+/** Parametrized by the job's index in goldenJobs(). */
+class GoldenStats : public ::testing::TestWithParam<std::size_t>
 {
 };
 
@@ -181,10 +73,14 @@ class GoldenStats : public ::testing::TestWithParam<GoldenCase>
 
 TEST_P(GoldenStats, MatchesGoldenDump)
 {
-    const GoldenCase &c = GetParam();
-    const std::string actual = runScenario(c);
+    const sweep::JobSpec &job = goldenJobs()[GetParam()];
+    const sweep::JobOutcome outcome =
+        sweep::SweepEngine::runDeclarative(job);
+    EXPECT_TRUE(outcome.allDone)
+        << job.id << ": a workload never completed";
+    const std::string &actual = outcome.statsJson;
     ASSERT_FALSE(actual.empty());
-    const std::string path = goldenPath(c);
+    const std::string path = goldenPath(job);
 
     if (g_updateGolden) {
         std::ofstream out(path, std::ios::binary | std::ios::trunc);
@@ -201,37 +97,35 @@ TEST_P(GoldenStats, MatchesGoldenDump)
     golden << in.rdbuf();
 
     EXPECT_EQ(actual, golden.str())
-        << caseName(c)
+        << job.id
         << ": StatsRegistry dump diverged from the golden reference."
         << " If the simulated model changed intentionally, rerun"
         << " with --update-golden and review the diff; a kernel-only"
         << " (performance) change must never trip this.";
 }
 
+INSTANTIATE_TEST_SUITE_P(
+    Matrix, GoldenStats,
+    ::testing::Range(std::size_t{0}, goldenJobs().size()),
+    [](const ::testing::TestParamInfo<std::size_t> &info) {
+        return goldenJobs()[info.param].id;
+    });
+
 /**
- * The same 16-config matrix, but expressed as the checked-in sweep
- * manifest (scripts/golden_matrix.jsonl) and executed through the
- * SweepEngine -- serially and 4-wide. Certifies three properties at
- * once:
- *
- * 1. the manifest -> ConfigBinder -> workload-factory path builds
- *    exactly the machines this file builds in C++ (every job's dump
- *    is byte-identical to its golden file),
- * 2. parallel execution is byte-identical to serial execution
- *    (workers share no mutable state), and
- * 3. jobs land at their manifest index in both runs.
+ * The same matrix through the SweepEngine, serially and 4-wide:
+ * parallel execution must be byte-identical to serial execution
+ * (workers share no mutable state) and to the golden files, and jobs
+ * must land at their manifest index in both runs.
  */
 TEST(GoldenSweep, ParallelManifestMatchesSerialAndGoldens)
 {
     if (g_updateGolden)
         GTEST_SKIP() << "golden files are being regenerated";
 
-    const std::vector<sweep::JobSpec> jobs = sweep::loadManifest(
-        std::string(NEUMMU_SCRIPTS_DIR) + "/golden_matrix.jsonl",
-        SystemConfig{});
+    const std::vector<sweep::JobSpec> &jobs = goldenJobs();
     ASSERT_EQ(jobs.size(), 16u)
-        << "scripts/golden_matrix.jsonl must mirror the 16-config "
-           "matrix above";
+        << "scripts/golden_matrix.jsonl must hold one job per "
+           "tests/golden file";
 
     sweep::SweepOptions serial_opts;
     serial_opts.threads = 1;
@@ -244,50 +138,19 @@ TEST(GoldenSweep, ParallelManifestMatchesSerialAndGoldens)
 
     EXPECT_EQ(sweep::compareRuns(serial, parallel), "")
         << "parallel sweep diverged from serial execution";
-
     for (std::size_t i = 0; i < jobs.size(); i++) {
         const sweep::JobResult &job = parallel.jobs[i];
         ASSERT_TRUE(job.ok) << job.id << ": " << job.error;
         EXPECT_EQ(job.id, jobs[i].id) << "result order broke";
-        EXPECT_TRUE(job.outcome.allDone) << job.id;
 
-        std::ifstream in(std::string(NEUMMU_GOLDEN_DIR) + "/" +
-                             job.id + ".json",
-                         std::ios::binary);
+        std::ifstream in(goldenPath(jobs[i]), std::ios::binary);
         ASSERT_TRUE(in.good())
-            << "manifest job " << job.id
-            << " has no matching golden file";
+            << "manifest job " << job.id << " has no golden file";
         std::ostringstream golden;
         golden << in.rdbuf();
-        EXPECT_EQ(job.outcome.statsJson, golden.str())
-            << job.id
-            << ": the manifest/ConfigBinder path no longer builds "
-               "the machine this file builds directly";
+        EXPECT_EQ(job.outcome.statsJson, golden.str()) << job.id;
     }
 }
-
-INSTANTIATE_TEST_SUITE_P(
-    Matrix, GoldenStats,
-    ::testing::Values(
-        GoldenCase{"dense_cnn1", "oracle"},
-        GoldenCase{"dense_cnn1", "iommu"},
-        GoldenCase{"dense_cnn1", "neummu"},
-        GoldenCase{"embedding_gather", "oracle"},
-        GoldenCase{"embedding_gather", "iommu"},
-        GoldenCase{"embedding_gather", "neummu"},
-        GoldenCase{"synthetic_hotset", "oracle"},
-        GoldenCase{"synthetic_hotset", "iommu"},
-        GoldenCase{"synthetic_hotset", "neummu"},
-        GoldenCase{"synthetic_hotset", "range"},
-        GoldenCase{"synthetic_hotset", "pomtlb"},
-        GoldenCase{"tenants2", "oracle"},
-        GoldenCase{"tenants2", "iommu"},
-        GoldenCase{"tenants2", "neummu"},
-        GoldenCase{"oversub_gather", "iommu"},
-        GoldenCase{"oversub_gather", "neummu"}),
-    [](const ::testing::TestParamInfo<GoldenCase> &info) {
-        return caseName(info.param);
-    });
 
 int
 main(int argc, char **argv)

@@ -1,43 +1,116 @@
 /**
  * @file
- * Integration tests: full dense runs through the driver, verifying
- * the paper's qualitative results hold end to end, plus monotonicity
- * properties over the MMU design space.
+ * Integration tests: full dense runs (a DenseDnnWorkload on a System,
+ * through the Scheduler), verifying the paper's qualitative results
+ * hold end to end, plus monotonicity properties over the MMU design
+ * space.
  */
 
 #include <gtest/gtest.h>
 
-#include "driver/dense_experiment.hh"
+#include <memory>
+#include <utility>
+#include <vector>
+
 #include "mmu/energy_model.hh"
+#include "system/scheduler.hh"
+#include "system/system.hh"
+#include "workloads/dense_dnn_workload.hh"
 
 using namespace neummu;
 
 namespace {
 
-/** A small, fast configuration: one AlexNet layer. */
-DenseExperimentConfig
-smallConfig(MmuConfig mmu)
+/** What one dense run measured. */
+struct DenseRun
 {
-    DenseExperimentConfig cfg;
-    cfg.workload = WorkloadId::CNN1;
-    cfg.batch = 1;
-    cfg.system.mmu = mmu;
-    cfg.layerOverride = makeWorkload(WorkloadId::CNN1, 1).layers;
-    cfg.layerOverride.resize(2); // conv1 + conv2 only
-    return cfg;
+    Tick cycles = 0;
+    MmuCounts mmu;
+    double translationEnergyNj = 0.0;
+    TpReg::MatchStats tpreg;
+    std::vector<LayerResult> layers;
+};
+
+/** Run @p wl on NPU 0 of the machine @p sys describes. */
+DenseRun
+runDense(const SystemConfig &sys, DenseDnnWorkloadConfig wl)
+{
+    System system(sys);
+    Scheduler scheduler(system);
+    const auto &dense = static_cast<const DenseDnnWorkload &>(
+        scheduler.add(std::make_unique<DenseDnnWorkload>(std::move(wl)),
+                      0));
+    const SchedulerResult result = scheduler.run();
+    EXPECT_TRUE(result.allDone);
+
+    DenseRun run;
+    run.cycles = result.totalCycles;
+    run.mmu = system.mmu().counts();
+    run.translationEnergyNj = system.mmu().translationEnergyNj();
+    if (const MmuCore *core = system.mmu().asMmuCore())
+        run.tpreg = core->tpregStats();
+    run.layers = dense.layers();
+    return run;
+}
+
+/** A machine whose walker core is @p mmu. */
+SystemConfig
+machine(MmuConfig mmu)
+{
+    SystemConfig sys;
+    sys.mmu = mmu;
+    return sys;
+}
+
+/** A whole workload at batch 1. */
+DenseDnnWorkloadConfig
+fullWorkload(WorkloadId id)
+{
+    DenseDnnWorkloadConfig wl;
+    wl.workload = id;
+    wl.batch = 1;
+    return wl;
+}
+
+/** A small, fast workload: the first two AlexNet layers. */
+DenseDnnWorkloadConfig
+smallWorkload()
+{
+    DenseDnnWorkloadConfig wl = fullWorkload(WorkloadId::CNN1);
+    wl.layerOverride = makeWorkload(WorkloadId::CNN1, 1).layers;
+    wl.layerOverride.resize(2); // conv1 + conv2 only
+    return wl;
+}
+
+/** A small run on the machine whose walker core is @p mmu. */
+DenseRun
+smallRun(MmuConfig mmu)
+{
+    return runDense(machine(mmu), smallWorkload());
+}
+
+/**
+ * Performance of @p wl on @p sys normalized to the oracular MMU on
+ * the same NPU/memory (the paper's headline metric).
+ */
+double
+normalizedToOracle(const SystemConfig &sys,
+                   const DenseDnnWorkloadConfig &wl)
+{
+    SystemConfig oracle = sys;
+    oracle.mmuDesign = "oracle";
+    oracle.mmu.reset();
+    return double(runDense(oracle, wl).cycles) /
+           double(runDense(sys, wl).cycles);
 }
 
 } // namespace
 
 TEST(DenseIntegration, OracleIsFastestDesignPoint)
 {
-    const Tick oracle =
-        runDenseExperiment(smallConfig(oracleMmuConfig())).totalCycles;
-    const Tick iommu =
-        runDenseExperiment(smallConfig(baselineIommuConfig()))
-            .totalCycles;
-    const Tick neummu =
-        runDenseExperiment(smallConfig(neuMmuConfig())).totalCycles;
+    const Tick oracle = smallRun(oracleMmuConfig()).cycles;
+    const Tick iommu = smallRun(baselineIommuConfig()).cycles;
+    const Tick neummu = smallRun(neuMmuConfig()).cycles;
     EXPECT_LT(oracle, iommu);
     EXPECT_LE(oracle, neummu);
     EXPECT_LT(neummu, iommu);
@@ -46,11 +119,8 @@ TEST(DenseIntegration, OracleIsFastestDesignPoint)
 TEST(DenseIntegration, BaselineIommuLosesMostPerformance)
 {
     // Fig. 8: the baseline IOMMU runs at a small fraction of oracle.
-    DenseExperimentConfig cfg;
-    cfg.workload = WorkloadId::RNN2;
-    cfg.batch = 1;
-    cfg.system.mmu = baselineIommuConfig();
-    const double norm = normalizedPerformance(cfg);
+    const double norm = normalizedToOracle(
+        machine(baselineIommuConfig()), fullWorkload(WorkloadId::RNN2));
     EXPECT_LT(norm, 0.25);
 }
 
@@ -59,11 +129,9 @@ TEST(DenseIntegration, NeuMmuIsWithinAFewPercentOfOracle)
     // Section IV-D: NeuMMU's overhead is negligible.
     for (const WorkloadId id :
          {WorkloadId::CNN1, WorkloadId::RNN1, WorkloadId::RNN3}) {
-        DenseExperimentConfig cfg;
-        cfg.workload = id;
-        cfg.batch = 1;
-        cfg.system.mmu = neuMmuConfig();
-        EXPECT_GT(normalizedPerformance(cfg), 0.95)
+        EXPECT_GT(normalizedToOracle(machine(neuMmuConfig()),
+                                     fullWorkload(id)),
+                  0.95)
             << workloadName(id);
     }
 }
@@ -73,9 +141,9 @@ TEST(DenseIntegration, MorePtwsNeverHurt)
     // Fig. 11: performance is monotone in walker count.
     Tick prev = maxTick;
     for (const unsigned ptws : {8u, 32u, 128u}) {
-        DenseExperimentConfig cfg = smallConfig(neuMmuConfig());
-        cfg.system.mmu->numPtws = ptws;
-        const Tick cycles = runDenseExperiment(cfg).totalCycles;
+        MmuConfig mmu = neuMmuConfig();
+        mmu.numPtws = ptws;
+        const Tick cycles = smallRun(mmu).cycles;
         EXPECT_LE(cycles, prev) << ptws;
         prev = cycles;
     }
@@ -86,10 +154,10 @@ TEST(DenseIntegration, MorePrmbSlotsNeverHurt)
     // Fig. 10: merging capacity is monotone too.
     Tick prev = maxTick;
     for (const unsigned slots : {1u, 4u, 16u, 32u}) {
-        DenseExperimentConfig cfg = smallConfig(neuMmuConfig());
-        cfg.system.mmu->numPtws = 8;
-        cfg.system.mmu->prmbSlots = slots;
-        const Tick cycles = runDenseExperiment(cfg).totalCycles;
+        MmuConfig mmu = neuMmuConfig();
+        mmu.numPtws = 8;
+        mmu.prmbSlots = slots;
+        const Tick cycles = smallRun(mmu).cycles;
         EXPECT_LE(cycles, prev) << slots;
         prev = cycles;
     }
@@ -98,14 +166,12 @@ TEST(DenseIntegration, MorePrmbSlotsNeverHurt)
 TEST(DenseIntegration, PrmbFiltersWalks)
 {
     // PRMB merges same-page bursts: walks drop, merges appear.
-    DenseExperimentConfig no_prmb = smallConfig(baselineIommuConfig());
-    no_prmb.system.mmu->numPtws = 128;
-    const DenseExperimentResult without =
-        runDenseExperiment(no_prmb);
+    MmuConfig mmu = baselineIommuConfig();
+    mmu.numPtws = 128;
+    const DenseRun without = smallRun(mmu);
 
-    DenseExperimentConfig with_prmb = no_prmb;
-    with_prmb.system.mmu->prmbSlots = 32;
-    const DenseExperimentResult with = runDenseExperiment(with_prmb);
+    mmu.prmbSlots = 32;
+    const DenseRun with = smallRun(mmu);
 
     EXPECT_LT(with.mmu.walks, without.mmu.walks);
     EXPECT_GT(with.mmu.prmbMerges, 0u);
@@ -115,12 +181,11 @@ TEST(DenseIntegration, PrmbFiltersWalks)
 
 TEST(DenseIntegration, TpRegCutsWalkMemoryAccesses)
 {
-    DenseExperimentConfig no_tpreg = smallConfig(neuMmuConfig());
-    no_tpreg.system.mmu->pathCache = MmuCacheKind::None;
-    const DenseExperimentResult without = runDenseExperiment(no_tpreg);
+    MmuConfig no_tpreg = neuMmuConfig();
+    no_tpreg.pathCache = MmuCacheKind::None;
+    const DenseRun without = smallRun(no_tpreg);
 
-    const DenseExperimentResult with =
-        runDenseExperiment(smallConfig(neuMmuConfig()));
+    const DenseRun with = smallRun(neuMmuConfig());
 
     // Same walks, fewer DRAM accesses (Section IV-C: >2.5x).
     EXPECT_GT(double(without.mmu.walkMemAccesses) /
@@ -132,11 +197,8 @@ TEST(DenseIntegration, TpRegCutsWalkMemoryAccesses)
 TEST(DenseIntegration, TpRegUpperLevelsHitAlmostAlways)
 {
     // Fig. 13: L4/L3 tag hit rates ~99.5%.
-    DenseExperimentConfig cfg;
-    cfg.workload = WorkloadId::CNN1;
-    cfg.batch = 1;
-    cfg.system.mmu = neuMmuConfig();
-    const DenseExperimentResult r = runDenseExperiment(cfg);
+    const DenseRun r = runDense(machine(neuMmuConfig()),
+                                fullWorkload(WorkloadId::CNN1));
     ASSERT_GT(r.tpreg.consults, 0u);
     const double l4 = double(r.tpreg.hits[0]) / double(r.tpreg.consults);
     const double l3 = double(r.tpreg.hits[1]) / double(r.tpreg.consults);
@@ -149,10 +211,8 @@ TEST(DenseIntegration, TpRegUpperLevelsHitAlmostAlways)
 TEST(DenseIntegration, NeuMmuUsesLessEnergyThanIommu)
 {
     // Section IV-D: 16.3x energy reduction; assert a large factor.
-    const DenseExperimentResult iommu =
-        runDenseExperiment(smallConfig(baselineIommuConfig()));
-    const DenseExperimentResult neummu =
-        runDenseExperiment(smallConfig(neuMmuConfig()));
+    const DenseRun iommu = smallRun(baselineIommuConfig());
+    const DenseRun neummu = smallRun(neuMmuConfig());
     EXPECT_GT(iommu.translationEnergyNj /
                   neummu.translationEnergyNj,
               4.0);
@@ -163,15 +223,13 @@ TEST(DenseIntegration, NeuMmuUsesLessEnergyThanIommu)
 
 TEST(DenseIntegration, LargePagesShrinkTranslationCountForDenseLayers)
 {
-    DenseExperimentConfig small = smallConfig(baselineIommuConfig());
-    DenseExperimentConfig large =
-        smallConfig(baselineIommuConfig(largePageShift));
-    large.system.pageShift = largePageShift;
-    const DenseExperimentResult rs = runDenseExperiment(small);
-    const DenseExperimentResult rl = runDenseExperiment(large);
+    SystemConfig large = machine(baselineIommuConfig(largePageShift));
+    large.pageShift = largePageShift;
+    const DenseRun rs = smallRun(baselineIommuConfig());
+    const DenseRun rl = runDense(large, smallWorkload());
     // Fewer distinct pages -> far fewer walks (Section VI-A).
     EXPECT_LT(rl.mmu.walks * 10, rs.mmu.walks);
-    EXPECT_LT(rl.totalCycles, rs.totalCycles);
+    EXPECT_LT(rl.cycles, rs.cycles);
 }
 
 TEST(DenseIntegration, SpatialNpuAlsoBenefitsFromNeuMmu)
@@ -179,33 +237,29 @@ TEST(DenseIntegration, SpatialNpuAlsoBenefitsFromNeuMmu)
     // Section VI-B: NeuMMU's conclusions transfer to spatial arrays.
     // Use a memory-bound workload; compute-bound conv layers hide
     // translation latency on any substrate.
-    DenseExperimentConfig cfg;
-    cfg.workload = WorkloadId::RNN2;
-    cfg.batch = 1;
-    cfg.system.npu.compute = ComputeKind::Spatial;
-    cfg.system.mmu = neuMmuConfig();
-    const double neummu = normalizedPerformance(cfg);
-    cfg.system.mmu = baselineIommuConfig();
-    const double iommu = normalizedPerformance(cfg);
+    SystemConfig sys = machine(neuMmuConfig());
+    sys.npu.compute = ComputeKind::Spatial;
+    const double neummu =
+        normalizedToOracle(sys, fullWorkload(WorkloadId::RNN2));
+    sys.mmu = baselineIommuConfig();
+    const double iommu =
+        normalizedToOracle(sys, fullWorkload(WorkloadId::RNN2));
     EXPECT_GT(neummu, 0.9);
     EXPECT_LT(iommu, 0.6);
 }
 
 TEST(DenseIntegration, ResultsAreDeterministic)
 {
-    const DenseExperimentResult a =
-        runDenseExperiment(smallConfig(neuMmuConfig()));
-    const DenseExperimentResult b =
-        runDenseExperiment(smallConfig(neuMmuConfig()));
-    EXPECT_EQ(a.totalCycles, b.totalCycles);
+    const DenseRun a = smallRun(neuMmuConfig());
+    const DenseRun b = smallRun(neuMmuConfig());
+    EXPECT_EQ(a.cycles, b.cycles);
     EXPECT_EQ(a.mmu.walks, b.mmu.walks);
     EXPECT_EQ(a.mmu.walkMemAccesses, b.mmu.walkMemAccesses);
 }
 
 TEST(DenseIntegration, PerLayerResultsSumToTotalActivity)
 {
-    const DenseExperimentResult r =
-        runDenseExperiment(smallConfig(neuMmuConfig()));
+    const DenseRun r = smallRun(neuMmuConfig());
     std::uint64_t translations = 0;
     for (const LayerResult &lr : r.layers) {
         EXPECT_GT(lr.cycles, 0u);
@@ -225,7 +279,7 @@ TEST(DenseIntegration, SramCostMatchesSectionFourE)
 
 TEST(DenseIntegrationDeath, MismatchedPageShiftIsCaught)
 {
-    DenseExperimentConfig cfg = smallConfig(baselineIommuConfig());
-    cfg.system.pageShift = largePageShift; // mmu still expects 4 KB
-    EXPECT_DEATH(runDenseExperiment(cfg), "page size");
+    SystemConfig sys = machine(baselineIommuConfig());
+    sys.pageShift = largePageShift; // mmu still expects 4 KB
+    EXPECT_DEATH(runDense(sys, smallWorkload()), "page size");
 }

@@ -16,7 +16,7 @@
 
 #include "common/random.hh"
 #include "common/units.hh"
-#include "system/embedding_system.hh"
+#include "sweep/config_binder.hh"
 #include "system/scheduler.hh"
 #include "system/system.hh"
 #include "vm/resident_set.hh"
@@ -262,21 +262,18 @@ TEST(PagingEngine, OversubscribedEmbeddingGatherAcceptance)
     // HBM capacity at 50% of the touched table footprint: the gather
     // must complete without fatal(), with nonzero paging.evictions
     // and paging.shootdowns (the ISSUE acceptance criteria).
-    const EmbeddingModelSpec spec = makeDlrm();
-    const EmbeddingSystemConfig cluster;
-
     const auto run = [&](std::uint64_t limit_pages) {
-        SystemConfig cfg =
-            demandPagingSystemConfig(spec, cluster,
-                                     "neummu");
-        cfg.name = "accept";
-        cfg.seed = 11;
-        cfg.paging.enabled = true;
+        SystemConfig cfg;
+        sweep::applyOverrides(cfg, {{"name", "accept"},
+                                    {"seed", "11"},
+                                    {"mmu.design", "neummu"},
+                                    {"preset", "dlrm_paging"},
+                                    {"paging.enabled", "1"}});
         cfg.paging.residentLimitBytes = limit_pages * 4096;
         auto sys = std::make_unique<System>(cfg);
         Scheduler sched(*sys);
-        sched.add(std::make_unique<EmbeddingWorkload>(
-                      demandPagingWorkloadConfig(spec, 2, cluster)),
+        sched.add(makeWorkloadFromSpec(
+                      "embedding:model=dlrm,mode=paging,batch=2"),
                   0);
         const SchedulerResult r = sched.run();
         EXPECT_TRUE(r.allDone);
@@ -313,11 +310,18 @@ TEST(PagingEngine, LegacyDemandPagingPathUnchangedWithoutEngine)
 {
     // With paging disabled the EmbeddingWorkload still installs its
     // own fault handler (the golden-pinned configuration).
-    const EmbeddingModelSpec spec = makeDlrm();
-    const EmbeddingSystemConfig cluster;
-    const DemandPagingResult r =
-        runDemandPaging(spec, 2, "neummu", smallPageShift,
-                        cluster, 11);
+    SystemConfig cfg;
+    sweep::applyOverrides(cfg, {{"mmu.design", "neummu"},
+                                {"preset", "dlrm_paging"}});
+    System sys(cfg);
+    Scheduler sched(sys);
+    const auto &gather = static_cast<const EmbeddingWorkload &>(
+        sched.add(makeWorkloadFromSpec(
+                      "embedding:model=dlrm,mode=paging,batch=2,seed=11"),
+                  0));
+    ASSERT_TRUE(sched.run().allDone);
+    EXPECT_FALSE(sys.hasPagingEngine());
+    const DemandPagingResult &r = gather.pagingResult();
     EXPECT_GT(r.faults, 0u);
     EXPECT_GT(r.migratedBytes, 0u);
 }

@@ -13,10 +13,11 @@
 #include <memory>
 #include <string>
 
-#include "driver/dense_experiment.hh"
-#include "system/embedding_system.hh"
+#include "sweep/config_binder.hh"
 #include "system/scheduler.hh"
 #include "system/system.hh"
+#include "workloads/dense_dnn_workload.hh"
+#include "workloads/embedding_workload.hh"
 #include "workloads/synthetic_workload.hh"
 #include "workloads/trace_workload.hh"
 #include "workloads/workload_factory.hh"
@@ -76,9 +77,9 @@ expectCountsEqual(const MmuCounts &a, const MmuCounts &b)
 
 // ---------------------------------------------------------------------
 // Cycle-equivalence pins: the numbers below were recorded from the
-// pre-refactor DenseExperiment / EmbeddingSystem drivers (seed
-// implementation, full CNN1/RNN1 at batch 1). The Workload-API path
-// must reproduce them bit-exactly.
+// pre-refactor dense and embedding drivers (seed implementation,
+// full CNN1/RNN1 at batch 1). The Workload-API path must reproduce
+// them bit-exactly.
 // ---------------------------------------------------------------------
 
 TEST(SchedulerPin, DenseCnn1NeuMmuMatchesPreRefactorDriver)
@@ -125,28 +126,13 @@ TEST(SchedulerPin, DenseCnn1BaselineIommuMatchesPreRefactorDriver)
     EXPECT_EQ(r.mmu.walkMemAccesses, 959644u);
 }
 
-TEST(SchedulerPin, DenseShimEqualsWorkloadPath)
-{
-    // The legacy driver is a shim over the same machinery: identical
-    // results by construction, locked in here.
-    DenseExperimentConfig cfg;
-    cfg.workload = WorkloadId::CNN1;
-    cfg.batch = 1;
-    cfg.system.mmuDesign = "neummu";
-    const DenseExperimentResult shim = runDenseExperiment(cfg);
-    const DenseRun direct =
-        runDenseViaScheduler(WorkloadId::CNN1, "neummu");
-    EXPECT_EQ(shim.totalCycles, direct.totalCycles);
-    expectCountsEqual(shim.mmu, direct.mmu);
-}
-
 TEST(SchedulerPin, EmbeddingNumaFast4NpuMatchesPreRefactorDriver)
 {
     // The paper's 4-NPU recommender config (Fig. 15), NumaFast.
     const EmbeddingSystemConfig cfg;
     ASSERT_EQ(cfg.numNpus, 4u);
 
-    const LatencyBreakdown dlrm = runEmbeddingInference(
+    const LatencyBreakdown dlrm = computeEmbeddingInference(
         makeDlrm(), 64, EmbeddingPolicy::NumaFast, cfg);
     EXPECT_EQ(dlrm.gemm, 2176u);
     EXPECT_EQ(dlrm.reduction, 468u);
@@ -154,7 +140,7 @@ TEST(SchedulerPin, EmbeddingNumaFast4NpuMatchesPreRefactorDriver)
     EXPECT_EQ(dlrm.embeddingLookup, 10645u);
     EXPECT_EQ(dlrm.total(), 19289u);
 
-    const LatencyBreakdown ncf = runEmbeddingInference(
+    const LatencyBreakdown ncf = computeEmbeddingInference(
         makeNcf(), 64, EmbeddingPolicy::NumaFast, cfg);
     EXPECT_EQ(ncf.total(), 31599u);
 }
@@ -184,9 +170,19 @@ TEST(SchedulerPin, EmbeddingInferenceWorkloadMatchesAnalyticModel)
 
 TEST(SchedulerPin, DemandPagingMatchesPreRefactorDriver)
 {
-    const DemandPagingResult r =
-        runDemandPaging(makeDlrm(), 4, "neummu",
-                        smallPageShift, EmbeddingSystemConfig{});
+    // The seed driver's machine is the dlrm_paging preset, and its
+    // lookup stream used seed 1.
+    SystemConfig cfg;
+    sweep::applyOverrides(cfg, {{"mmu.design", "neummu"},
+                                {"preset", "dlrm_paging"}});
+    System system(cfg);
+    Scheduler scheduler(system);
+    const auto &gather = static_cast<const EmbeddingWorkload &>(
+        scheduler.add(makeWorkloadFromSpec(
+                          "embedding:model=dlrm,mode=paging,batch=4,seed=1"),
+                      0));
+    ASSERT_TRUE(scheduler.run().allDone);
+    const DemandPagingResult &r = gather.pagingResult();
     EXPECT_EQ(r.totalCycles, 66903u);
     EXPECT_EQ(r.faults, 190u);
     EXPECT_EQ(r.migratedBytes, 778240u);

@@ -21,7 +21,6 @@
 #include "sweep/manifest.hh"
 #include "sweep/result_sink.hh"
 #include "sweep/sweep_engine.hh"
-#include "system/embedding_system.hh"
 #include "system/scheduler.hh"
 #include "system/system.hh"
 #include "workloads/workload_factory.hh"
@@ -174,15 +173,32 @@ TEST(ConfigBinder, PresetReplacesMachineKeepingIdentity)
     SystemConfig cfg;
     sweep::applyOverrides(cfg, {{"name", "keepme"},
                                 {"seed", "9"},
-                                {"mmu.design", "iommu"},
+                                {"numNpus", "4"},
+                                {"vaScatterShift", "39"},
+                                {"mmu.design", "neummu"},
                                 {"preset", "dlrm_paging"}});
-    const SystemConfig reference = demandPagingSystemConfig(
-        makeDlrm(), EmbeddingSystemConfig{}, "iommu");
+    // Identity survives...
     EXPECT_EQ(cfg.name, "keepme");
     EXPECT_EQ(cfg.seed, 9u);
-    EXPECT_EQ(cfg.mmuDesign, "iommu");
-    EXPECT_EQ(cfg.dmaBurstBytes, reference.dmaBurstBytes);
-    EXPECT_EQ(cfg.pageShift, reference.pageShift);
+    EXPECT_EQ(cfg.mmuDesign, "neummu");
+    EXPECT_FALSE(cfg.mmu.has_value());
+    EXPECT_EQ(cfg.pageShift, smallPageShift);
+    // ...the machine is the one-NPU gather device: default NPU and
+    // memory, DMA burst covering a whole 256 B DLRM row (the 512 B
+    // default burst already does).
+    EXPECT_EQ(cfg.numNpus, 1u);
+    EXPECT_EQ(cfg.vaScatterShift, 0u);
+    EXPECT_EQ(cfg.dmaBurstBytes, 512u);
+    EXPECT_EQ(cfg.npu.dmaBurstBytes, 512u);
+    EXPECT_FALSE(cfg.paging.enabled);
+
+    // pageShift set before the preset is kept.
+    SystemConfig large;
+    sweep::applyOverrides(large, {{"pageShift", "21"},
+                                  {"preset", "ncf_paging"}});
+    EXPECT_EQ(large.pageShift, largePageShift);
+    EXPECT_EQ(large.mmuDesign, "iommu");
+    EXPECT_EQ(large.dmaBurstBytes, 512u);
 }
 
 TEST(ConfigBinder, RejectsJunk)

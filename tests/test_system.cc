@@ -10,7 +10,6 @@
 #include <algorithm>
 #include <sstream>
 
-#include "driver/dense_experiment.hh"
 #include "system/system.hh"
 
 using namespace neummu;
@@ -131,25 +130,6 @@ TEST(System, StatsJsonDumpContainsLiveCounters)
     // Balanced braces: one object per group plus the outer one.
     EXPECT_EQ(std::count(out.begin(), out.end(), '{'),
               std::count(out.begin(), out.end(), '}'));
-}
-
-TEST(System, DenseExperimentOverPrebuiltSystemMatchesOneShot)
-{
-    DenseExperimentConfig cfg;
-    cfg.workload = WorkloadId::CNN1;
-    cfg.batch = 1;
-    cfg.system.mmuDesign = "neummu";
-    cfg.layerOverride = makeWorkload(WorkloadId::CNN1, 1).layers;
-    cfg.layerOverride.resize(1);
-
-    const DenseExperimentResult one_shot = runDenseExperiment(cfg);
-    System sys(cfg.system);
-    const DenseExperimentResult prebuilt =
-        runDenseExperiment(cfg, sys);
-    EXPECT_EQ(one_shot.totalCycles, prebuilt.totalCycles);
-    EXPECT_EQ(one_shot.mmu.walks, prebuilt.mmu.walks);
-    // The prebuilt system exposes the same counts via the registry.
-    EXPECT_EQ(sys.mmu().counts().requests, prebuilt.mmu.requests);
 }
 
 TEST(SystemDeath, MismatchedPageShiftIsCaught)

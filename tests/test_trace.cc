@@ -219,11 +219,11 @@ TEST(TraceBufferRing, BlanketCloseWithoutOpenIsNoOp)
     trace::TraceConfig cfg;
     cfg.enabled = true;
     trace::TraceBuffer buf(cfg);
-    EXPECT_EQ(buf.close(42, trace::Stage::HubQueue, 100), maxTick);
+    EXPECT_EQ(buf.close(42, trace::Stage::PrmbMerge, 100), maxTick);
     EXPECT_EQ(buf.spansRecorded(), 0u);
-    buf.open(42, trace::Stage::HubQueue, 10);
+    buf.open(42, trace::Stage::PrmbMerge, 10);
     EXPECT_EQ(buf.openCount(), 1u);
-    EXPECT_EQ(buf.close(42, trace::Stage::HubQueue, 100), Tick(90));
+    EXPECT_EQ(buf.close(42, trace::Stage::PrmbMerge, 100), Tick(90));
     EXPECT_EQ(buf.openCount(), 0u);
     EXPECT_EQ(buf.spansRecorded(), 1u);
 }

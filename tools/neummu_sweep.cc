@@ -30,8 +30,9 @@
  *   --list-keys         print the ConfigBinder key table and exit
  *   --list-workloads    print the workload factory kinds and exit
  *
- * Exit codes: 0 success; 1 usage/manifest error (fatal); 3 job
- * failures under --strict; 4 serial/parallel divergence.
+ * Exit codes: 0 success; 1 usage/manifest error (fatal); 2 a
+ * requested --json/--csv file could not be written; 3 job failures
+ * under --strict; 4 serial/parallel divergence.
  */
 
 #include <cstdio>
@@ -222,16 +223,24 @@ main(int argc, char **argv)
 
         sweep::SinkOptions sink;
         sink.includeTiming = timing;
+        bool output_failed = false;
         const std::string json_path = args.get("json", "");
-        if (!json_path.empty() &&
-            sweep::ResultSink::writeJsonFile(json_path, results,
-                                             sink))
-            std::printf("wrote merged sweep JSON to %s\n",
-                        json_path.c_str());
+        if (!json_path.empty()) {
+            if (sweep::ResultSink::writeJsonFile(json_path, results,
+                                                 sink))
+                std::printf("wrote merged sweep JSON to %s\n",
+                            json_path.c_str());
+            else
+                output_failed = true;
+        }
         const std::string csv_path = args.get("csv", "");
-        if (!csv_path.empty() &&
-            sweep::ResultSink::writeCsvFile(csv_path, results))
-            std::printf("wrote sweep CSV to %s\n", csv_path.c_str());
+        if (!csv_path.empty()) {
+            if (sweep::ResultSink::writeCsvFile(csv_path, results))
+                std::printf("wrote sweep CSV to %s\n",
+                            csv_path.c_str());
+            else
+                output_failed = true;
+        }
 
         std::printf("sweep complete: %u job(s), %u failure(s), "
                     "%.3fs wall\n",
@@ -254,6 +263,8 @@ main(int argc, char **argv)
             if (!job.ok)
                 std::printf("  failed: %s: %s\n", job.id.c_str(),
                             job.error.c_str());
+        if (output_failed)
+            return 2;
         if ((results.summary.failures > 0 || nondeterministic > 0) &&
             args.getBool("strict", false))
             return 3;

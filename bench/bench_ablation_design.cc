@@ -18,11 +18,12 @@
 using namespace neummu;
 
 int
-main()
+main(int argc, char **argv)
 {
     bench::printHeader("Ablations",
                        "Design-choice ablations: double buffering, "
                        "DMA burst size, TPreg");
+    bench::Reporter reporter("ablation_design", argc, argv);
 
     const std::vector<bench::GridPoint> points = {
         {WorkloadId::RNN2, 4}, {WorkloadId::CNN1, 4}};
@@ -42,6 +43,9 @@ main()
         std::printf("%-12s %14llu %14llu %9.2fx\n", gp.label().c_str(),
                     (unsigned long long)single, (unsigned long long)dbl,
                     double(single) / double(dbl));
+        stats::Group &g = reporter.group("buffering." + gp.key());
+        g.scalar("singleBufCycles").set(double(single));
+        g.scalar("doubleBufCycles").set(double(dbl));
     }
 
     std::printf("\n(2) DMA burst size under the baseline IOMMU\n");
@@ -63,6 +67,11 @@ main()
                         (unsigned long long)r.mmu.requests,
                         (unsigned long long)r.cycles,
                         double(oracle) / double(r.cycles));
+            stats::Group &g = reporter.group(
+                "burst." + gp.key() + "_" + std::to_string(burst));
+            g.scalar("translations").set(double(r.mmu.requests));
+            g.scalar("iommuCycles").set(double(r.cycles));
+            g.scalar("normPerf").set(double(oracle) / double(r.cycles));
         }
         std::fflush(stdout);
     }
@@ -90,6 +99,15 @@ main()
                     double(oracle) / double(with_tpreg.cycles),
                     (unsigned long long)no_tpreg.mmu.walkMemAccesses,
                     (unsigned long long)with_tpreg.mmu.walkMemAccesses);
+        stats::Group &g = reporter.group("tpreg." + gp.key());
+        g.scalar("noTpregNormPerf")
+            .set(double(oracle) / double(no_tpreg.cycles));
+        g.scalar("tpregNormPerf")
+            .set(double(oracle) / double(with_tpreg.cycles));
+        g.scalar("noTpregWalkMemAccesses")
+            .set(double(no_tpreg.mmu.walkMemAccesses));
+        g.scalar("tpregWalkMemAccesses")
+            .set(double(with_tpreg.mmu.walkMemAccesses));
     }
 
     std::printf("\nTakeaways: double buffering is what makes the "
@@ -98,5 +116,5 @@ main()
                 "more translations per page and a deeper IOMMU "
                 "collapse; TPreg's win is\nenergy (walk DRAM "
                 "accesses), not cycles, once walkers are plentiful.\n");
-    return 0;
+    return reporter.finish();
 }

@@ -13,11 +13,12 @@
 using namespace neummu;
 
 int
-main()
+main(int argc, char **argv)
 {
     bench::printHeader(
         "Figure 6",
         "Page divergence per DMA tile (4 KB pages): max / avg");
+    bench::Reporter reporter("fig06", argc, argv);
 
     const NpuConfig npu;
     const Tiler tiler(npu);
@@ -44,10 +45,14 @@ main()
         std::printf("%-12s %10llu %10.0f %10llu\n", gp.label().c_str(),
                     (unsigned long long)max_div, sum_div / double(tiles),
                     (unsigned long long)tiles);
+        stats::Group &g = reporter.group("divergence." + gp.key());
+        g.scalar("maxPages").set(double(max_div));
+        g.scalar("avgPages").set(sum_div / double(tiles));
+        g.scalar("tiles").set(double(tiles));
     }
 
     std::printf("\nPaper reference: per-tile page divergence reaches "
                 "~1-2K pages (max) with\naverages of hundreds to >1K, "
                 "motivating translation bursts (Section III-C).\n");
-    return 0;
+    return reporter.finish();
 }

@@ -16,7 +16,7 @@ using namespace neummu;
 namespace {
 
 void
-traceWorkload(WorkloadId id)
+traceWorkload(WorkloadId id, bench::Reporter &reporter)
 {
     std::vector<std::uint64_t> windows;
     // The burst pattern is a property of the DMA/workload; run under
@@ -49,20 +49,27 @@ traceWorkload(WorkloadId id)
         full_rate += (c >= 900);
     std::printf("windows at >=900/1000 (full-rate burst): %llu of %zu\n\n",
                 (unsigned long long)full_rate, windows.size());
+
+    stats::Group &g = reporter.group("bursts." + workloadName(id));
+    g.scalar("cycles").set(double(r.cycles));
+    g.scalar("translations").set(double(r.mmu.requests));
+    g.scalar("windows").set(double(windows.size()));
+    g.scalar("fullRateWindows").set(double(full_rate));
 }
 
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
     bench::printHeader("Figure 7",
                        "Translations requested per 1000-cycle window "
                        "(CNN-1 and RNN-1, b01)");
-    traceWorkload(WorkloadId::CNN1);
-    traceWorkload(WorkloadId::RNN1);
+    bench::Reporter reporter("fig07", argc, argv);
+    traceWorkload(WorkloadId::CNN1, reporter);
+    traceWorkload(WorkloadId::RNN1, reporter);
     std::printf("Paper reference: both workloads show sustained bursts "
                 "at the 1/cycle issue\nlimit separated by compute "
                 "phases (Fig. 7a/7b).\n");
-    return 0;
+    return reporter.finish();
 }

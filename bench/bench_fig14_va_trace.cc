@@ -20,11 +20,11 @@
 using namespace neummu;
 
 static int
-recordTrace(const ArgParser &args)
+recordTrace(bench::Reporter &reporter)
 {
-    const std::string path = args.get("record", "");
+    const std::string path = reporter.args().get("record", "");
     const std::string spec =
-        args.get("workload", "dense:model=CNN1,batch=1");
+        reporter.args().get("workload", "dense:model=CNN1,batch=1");
     bench::printHeader("Figure 14 (record mode)",
                        "JSONL translation trace of '" + spec + "'");
 
@@ -45,15 +45,18 @@ recordTrace(const ArgParser &args)
                 spec.c_str(),
                 (unsigned long long)result.totalCycles,
                 recorder.entries().size(), path.c_str(), path.c_str());
-    return 0;
+    stats::Group &g = reporter.group("record");
+    g.scalar("cycles").set(double(result.totalCycles));
+    g.scalar("attempts").set(double(recorder.entries().size()));
+    return reporter.finish();
 }
 
 int
 main(int argc, char **argv)
 {
-    const ArgParser args(argc, argv);
-    if (args.has("record"))
-        return recordTrace(args);
+    bench::Reporter reporter("fig14", argc, argv);
+    if (reporter.args().has("record"))
+        return recordTrace(reporter);
 
     bench::printHeader("Figure 14",
                        "Virtual addresses accessed across consecutive "
@@ -96,6 +99,11 @@ main(int argc, char **argv)
                         kind, (unsigned long long)lo,
                         (unsigned long long)hi,
                         (unsigned long long)bytes);
+            stats::Group &g = reporter.group(
+                "tile" + std::to_string(t) + "." + kind);
+            g.scalar("vaStart").set(double(lo));
+            g.scalar("vaEnd").set(double(hi));
+            g.scalar("bytes").set(double(bytes));
         };
         show("IA", tile.iaRuns);
         show("W", tile.wRuns);
@@ -121,5 +129,5 @@ main(int argc, char **argv)
                 "large VA segments, stream\nmonotonically, and never "
                 "interleave IA with W inside a tile -- the three\n"
                 "observations motivating TPreg (Section IV-C).\n");
-    return 0;
+    return reporter.finish();
 }

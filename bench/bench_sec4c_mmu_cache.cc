@@ -88,8 +88,15 @@ printPolicy(const bench::GridResults &results, std::size_t num_designs,
 }
 
 void
-printSummary(const CacheTotals &t)
+printSummary(const CacheTotals &t, stats::Group &g)
 {
+    g.scalar("tpcL4Hit").set(bench::mean(t.l4));
+    g.scalar("tpcL3Hit").set(bench::mean(t.l3));
+    g.scalar("tpcL2Hit").set(bench::mean(t.l2));
+    g.scalar("uptcEntryHit").set(bench::mean(t.uptc_hit));
+    g.scalar("noneWalkMemAccesses").set(double(t.none_dram));
+    g.scalar("tpcWalkMemAccesses").set(double(t.tpc_dram));
+    g.scalar("uptcWalkMemAccesses").set(double(t.uptc_dram));
     std::printf("\naverages: TPC L4/L3/L2 = %.1f%%/%.1f%%/%.1f%%, "
                 "UPTC per-entry hit = %.1f%%\n",
                 bench::mean(t.l4) * 100, bench::mean(t.l3) * 100,
@@ -110,11 +117,12 @@ printSummary(const CacheTotals &t)
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
     bench::printHeader("Section IV-C",
                        "TPC vs. UPTC translation-cache design points "
                        "(8 shared entries, scattered VA)");
+    bench::Reporter reporter("sec4c", argc, argv);
 
     SystemConfig base;
     base.vaScatterShift = 39;
@@ -125,17 +133,20 @@ main()
         sharedCache("UPTC_lru", "uptc", "lru"),
         {"none", {{"mmu.design", "neummu"}, {"mmu.pathCache", "none"}}},
     };
-    const bench::GridResults results = bench::runGrid(base, designs);
+    const bench::GridResults results = bench::runGrid(
+        base, designs, bench::denseGrid(), &reporter);
 
     std::printf("--- FIFO replacement (small hardware CAM) ---\n");
-    printSummary(printPolicy(results, designs.size(), 0, 1, 4));
+    printSummary(printPolicy(results, designs.size(), 0, 1, 4),
+                 reporter.group("summary.fifo"));
 
     std::printf("\n--- LRU replacement ---\n");
-    printSummary(printPolicy(results, designs.size(), 2, 3, 4));
+    printSummary(printPolicy(results, designs.size(), 2, 3, 4),
+                 reporter.group("summary.lru"));
 
     std::printf("\nPaper reference: TPC hit rates 99.5/99.5/63.1%% at "
                 "L4/L3/L2, UPTC 92.4%%\nper-entry; TPC removes ~59%% "
                 "more page-table-walk traffic than UPTC,\nmotivating "
                 "the single-entry, VA-tagged TPreg (Section IV-C).\n");
-    return 0;
+    return reporter.finish();
 }

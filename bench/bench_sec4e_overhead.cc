@@ -14,10 +14,11 @@
 using namespace neummu;
 
 int
-main()
+main(int argc, char **argv)
 {
     bench::printHeader("Section IV-E",
                        "NeuMMU implementation overhead (SRAM storage)");
+    bench::Reporter reporter("sec4e", argc, argv);
 
     const NeuMmuSramCost cost;
     std::printf("PTWs: %u, PRMB slots/PTW: %u\n\n", cost.numPtws,
@@ -34,9 +35,14 @@ main()
                 (unsigned long long)cost.ptsBytes());
     std::printf("%-34s %10llu\n", "total",
                 (unsigned long long)cost.totalBytes());
+    stats::Group &g = reporter.group("sram");
+    g.scalar("prmbBytes").set(double(cost.prmbBytes()));
+    g.scalar("tpregBytes").set(double(cost.tpregTotalBytes()));
+    g.scalar("ptsBytes").set(double(cost.ptsBytes()));
+    g.scalar("totalBytes").set(double(cost.totalBytes()));
 
     std::printf("\nPaper reference: 32 KB + 2 KB + 768 B of SRAM; "
                 "0.10 mm^2 and 13.65 mW\nleakage at 32 nm via CACTI "
                 "6.5; <0.01%% of a VCU1525 FPGA's resources.\n");
-    return 0;
+    return reporter.finish();
 }

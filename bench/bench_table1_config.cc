@@ -15,9 +15,10 @@
 using namespace neummu;
 
 int
-main()
+main(int argc, char **argv)
 {
     bench::printHeader("Table I", "Baseline NPU configuration");
+    bench::Reporter reporter("table1", argc, argv);
 
     const NpuConfig npu;
     const MemoryConfig mem;
@@ -71,5 +72,29 @@ main()
                 neummu.prmbSlots);
     std::printf("  Translation path register             1 per PTW "
                 "(16 B)\n");
-    return 0;
+
+    stats::Group &p = reporter.group("npu");
+    p.scalar("systolicRows").set(double(npu.systolicRows));
+    p.scalar("systolicCols").set(double(npu.systolicCols));
+    p.scalar("iaSpmBytes").set(double(npu.iaSpmBytes));
+    p.scalar("wSpmBytes").set(double(npu.wSpmBytes));
+    p.scalar("dmaBurstBytes").set(double(npu.dmaBurstBytes));
+    stats::Group &m = reporter.group("memory");
+    m.scalar("channels").set(double(mem.channels));
+    m.scalar("bytesPerCycle").set(mem.bytesPerCycle);
+    m.scalar("accessLatency").set(double(mem.accessLatency));
+    stats::Group &i = reporter.group("iommu");
+    i.scalar("tlbEntries").set(double(iommu.tlb.entries));
+    i.scalar("tlbHitLatency").set(double(iommu.tlb.hitLatency));
+    i.scalar("numPtws").set(double(iommu.numPtws));
+    i.scalar("walkLatencyPerLevel")
+        .set(double(iommu.walkLatencyPerLevel));
+    stats::Group &l = reporter.group("interconnect");
+    l.scalar("numaLatency").set(double(pcie.latency));
+    l.scalar("pcieBytesPerCycle").set(pcie.bytesPerCycle);
+    l.scalar("npuLinkBytesPerCycle").set(nlink.bytesPerCycle);
+    stats::Group &n = reporter.group("neummu");
+    n.scalar("numPtws").set(double(neummu.numPtws));
+    n.scalar("prmbSlots").set(double(neummu.prmbSlots));
+    return reporter.finish();
 }

@@ -24,6 +24,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <fstream>
 #include <functional>
 #include <iostream>
 #include <memory>
@@ -197,14 +198,21 @@ struct GridResults
  * records results in a StatsRegistry. Every recorded cell (and any
  * ad-hoc group()) flows through the registry's single JSON path when
  * the bench is invoked with --json=<path>; --stats dumps the registry
- * as text to stdout.
+ * as text to stdout. The --json file is opened here, before the bench
+ * runs anything, so an unwritable path exits 1 at once.
  */
 class Reporter
 {
   public:
     Reporter(std::string bench_name, int argc, char **argv)
-        : _name(std::move(bench_name)), _args(argc, argv)
+        : _name(std::move(bench_name)), _args(argc, argv),
+          _jsonPath(_args.get("json", ""))
     {
+        if (_jsonPath.empty())
+            return;
+        _json.open(_jsonPath);
+        if (!_json)
+            NEUMMU_FATAL("cannot write --json file " + _jsonPath);
     }
 
     const ArgParser &args() const { return _args; }
@@ -251,19 +259,24 @@ class Reporter
     {
         if (_args.getBool("stats", false))
             _registry.dumpText(std::cout);
-        const std::string path = _args.get("json", "");
-        if (path.empty())
+        if (_jsonPath.empty())
             return 0;
-        if (!_registry.writeJsonFile(path))
+        _registry.dumpJson(_json);
+        _json.close();
+        if (!_json) {
+            warn("cannot write JSON output file " + _jsonPath);
             return 1;
+        }
         std::printf("\n[%s] wrote JSON results to %s\n", _name.c_str(),
-                    path.c_str());
+                    _jsonPath.c_str());
         return 0;
     }
 
   private:
     std::string _name;
     ArgParser _args;
+    std::string _jsonPath;
+    std::ofstream _json;
     stats::StatsRegistry _registry;
 };
 

@@ -2,9 +2,9 @@
 # CI entry point: configure + build everything with warnings as
 # errors, verify every bench/example target actually built, run the
 # full test suite (the golden-stats regression matrix must be part of
-# it, not silently skipped), and record one simulator-throughput
-# point (BENCH_sim_throughput.json) so every run logs the kernel's
-# events/sec trajectory.
+# it, not silently skipped), then drive every CLI surface end to end.
+# Host-speed measurement is perfbench's job (perfbench/README.md), not
+# this script's.
 #
 # Env:
 #   BUILD_DIR  build tree (default: build)
@@ -37,9 +37,7 @@ cmake --build "$BUILD_DIR" -j "$(nproc)"
 # Every bench/bench_*.cc, tools/*.cc, and examples/*.cc must have
 # produced an executable; a silently dropped target (bad glob,
 # renamed file, dependency-gated bench) otherwise goes unnoticed
-# until someone needs the figure. bench_sim_throughput is self-timed
-# (no google-benchmark dependency), so it is required like everything
-# else.
+# until someone needs the figure.
 missing=0
 for src in bench/bench_*.cc tools/*.cc examples/*.cc; do
   target="$(basename "$src" .cc)"
@@ -72,44 +70,26 @@ fi
 
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
 
-# Simulator-throughput smoke: one repetition, recorded as JSON. The
-# simulated counters in the report are deterministic; the events/sec
-# rates document this machine. CI archives the file as an artifact,
-# giving the repo a perf trajectory across PRs. --profile=1 appends
-# the host-cycle attribution pass: the bench itself fails if the
-# fast-path counters sum to zero (optimized paths never ran), if a
-# burst tracker rehashed in steady state, or if the profiled rerun
-# drifted from the headline's simulated counters.
-BENCH_JSON="$BUILD_DIR/BENCH_sim_throughput.json"
-BENCH_PREV="$BUILD_DIR/BENCH_sim_throughput.prev.json"
-if [[ -s "$BENCH_JSON" ]]; then
-  cp "$BENCH_JSON" "$BENCH_PREV"
-fi
-"$BUILD_DIR/bench_sim_throughput" --reps=1 --profile=1 \
-    --json="$BENCH_JSON"
-if [[ ! -s "$BENCH_JSON" ]]; then
-  echo "error: bench_sim_throughput produced no JSON report" >&2
+# Host-time attribution smoke: the simulator scenarios (the same
+# manifest test_sweep gates on) profiled through neummu_sweep must
+# yield flamegraph stacks and carry the fast-path counters and the
+# 64-NPU mix in the merged dump.
+SCEN_JSON="$BUILD_DIR/BENCH_sim_scenarios.json"
+SCEN_STACKS="$BUILD_DIR/sim_scenarios.collapsed"
+"$BUILD_DIR/neummu_sweep" --manifest=scripts/sim_scenarios.jsonl \
+    -j 2 --set=sim.profile=1 --quiet=1 --strict=1 \
+    --collapsed="$SCEN_STACKS" --json="$SCEN_JSON" > /dev/null
+if [[ ! -s "$SCEN_STACKS" ]]; then
+  echo "error: profiled scenario sweep wrote no collapsed stacks" >&2
   exit 1
 fi
-echo "throughput report: $BENCH_JSON"
-# Events/sec delta vs the previous local run of this build tree:
-# purely informational (wall-clock rates are host-load-dependent),
-# but it shows immediately whether a kernel change moved the needle.
-if [[ -s "$BENCH_PREV" ]] && command -v python3 > /dev/null; then
-  python3 scripts/bench_delta.py "$BENCH_PREV" "$BENCH_JSON"
-fi
-# The attribution pass must actually be in the archived artifact.
-if ! grep -q '"fastpath"\|trainsStarted' "$BENCH_JSON"; then
-  echo "error: throughput report is missing the --profile" \
-       "attribution (no trainsStarted)" >&2
-  exit 1
-fi
-# The 64-NPU mix (every NPU's DMA against the shared NeuMMU hub) must
-# be in the archived report.
-if ! grep -q '"sim.npu64_mix"' "$BENCH_JSON"; then
-  echo "error: throughput report is missing the npu64_mix scenario" >&2
-  exit 1
-fi
+for key in '"trainsStarted"' '"big64.sim"'; do
+  if ! grep -q "$key" "$SCEN_JSON"; then
+    echo "error: profiled scenario sweep dump is missing $key" >&2
+    exit 1
+  fi
+done
+echo "profiled scenario sweep: $SCEN_JSON, stacks in $SCEN_STACKS"
 
 # Oversubscription smoke: the page-lifecycle engine (evict + shootdown
 # + refetch) must survive a real sweep end to end and serve its
@@ -151,10 +131,18 @@ for key in '"NeuMMU.RNN-3_b08"' '"normPerf"'; do
 done
 echo "grid harness report: $SEC4D_JSON"
 
-# A bench whose requested --json file cannot be written must fail.
+# A bench whose requested --json file cannot be written must fail,
+# and a table-only bench must still honour --json.
 if "$BUILD_DIR/bench_fig15_numa_embeddings" \
     --json="$BUILD_DIR/no-such-dir/fig15.json" > /dev/null 2>&1; then
   echo "error: a bench exited 0 with an unwritable --json path" >&2
+  exit 1
+fi
+TABLE1_JSON="$BUILD_DIR/BENCH_table1_config.json"
+rm -f "$TABLE1_JSON"
+"$BUILD_DIR/bench_table1_config" --json="$TABLE1_JSON" > /dev/null
+if [[ ! -s "$TABLE1_JSON" ]]; then
+  echo "error: bench_table1_config --json wrote no file" >&2
   exit 1
 fi
 
@@ -191,17 +179,23 @@ if ! grep -q '"ok": false' "$SMOKE_JSON"; then
 fi
 echo "sweep smoke report: $SMOKE_JSON"
 
-# An unwritable --json/--csv path is exit code 2, never a silent 0.
-for out_flag in --json --csv; do
+# An unwritable --json/--csv/--collapsed path is exit code 2, never
+# a silent 0, and it is caught before any job runs.
+for out_flag in --json --csv --collapsed; do
   set +e
-  "$BUILD_DIR/neummu_sweep" \
-      --grid="workloads=dense:model=CNN1,batch=1,layers=1" --quiet=1 \
-      "$out_flag=$BUILD_DIR/no-such-dir/sweep.out" > /dev/null 2>&1
+  out="$("$BUILD_DIR/neummu_sweep" \
+      --grid="workloads=dense:model=CNN1,batch=1,layers=1" \
+      "$out_flag=$BUILD_DIR/no-such-dir/sweep.out" 2> /dev/null)"
   rc=$?
   set -e
   if [[ "$rc" -ne 2 ]]; then
     echo "error: neummu_sweep $out_flag to an unwritable path exited" \
          "$rc, expected 2" >&2
+    exit 1
+  fi
+  if grep -q 'sweep complete' <<< "$out"; then
+    echo "error: neummu_sweep $out_flag ran the sweep before" \
+         "rejecting the unwritable path" >&2
     exit 1
   fi
 done

@@ -72,8 +72,6 @@ class SlabArena
             _slabs.back().reserve(_slabCapacity);
         }
         _live++;
-        if (_live > _highWater)
-            _highWater = _live;
         return h;
     }
 
@@ -91,17 +89,11 @@ class SlabArena
         _live--;
     }
 
-    /** Slabs currently acquired (tests/diagnostics). */
-    std::size_t liveSlabs() const { return _live; }
-    /** Peak concurrently-acquired slabs == slabs ever allocated. */
-    std::size_t highWater() const { return _highWater; }
-
   private:
     std::size_t _slabCapacity;
     std::vector<std::vector<T>> _slabs;
     std::vector<Handle> _free;
     std::size_t _live = 0;
-    std::size_t _highWater = 0;
 };
 
 /**

@@ -182,11 +182,6 @@ class MmuCore : public MmuEngine
     }
     /** Requests served by the per-channel translation registers. */
     std::uint64_t xlateRegisterHits() const { return _xlateRegHits; }
-    /** Peak live response-list slabs (tests/diagnostics). */
-    std::size_t respArenaHighWater() const
-    {
-        return _respArena.highWater();
-    }
 
   private:
     struct Walker

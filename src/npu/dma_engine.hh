@@ -99,13 +99,6 @@ class DmaEngine
     std::uint64_t stallCycles() const { return _stallCycles; }
     stats::Group &stats() { return _stats; }
 
-    /** Bursts with a translation in flight (tests/diagnostics). */
-    std::size_t inflightBursts() const { return _burstBytesById.size(); }
-    /** Peak outstanding-burst count (tests/diagnostics). */
-    std::size_t burstPoolHighWater() const
-    {
-        return _burstBytesById.highWater();
-    }
     /** Tracker rehashes; 0 when inflightHint was sized right. */
     std::size_t burstPoolRehashes() const
     {

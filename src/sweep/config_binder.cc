@@ -175,10 +175,10 @@ editableMmu(SystemConfig &cfg)
  * preset=<name>: replace the whole machine with the demand-paging
  * gather machine of one embedding model, preserving name, seed,
  * mmuDesign and pageShift (the fields callers are documented to
- * override on the canned configs). The machine is one gather device
- * (remote peers appear only as fault targets) on the default NPU and
- * memory, with the DMA burst sized to cover a whole embedding row:
- * one run per lookup.
+ * override on the canned configs) and the sim.* / trace.* observers.
+ * The machine is one gather device (remote peers appear only as fault
+ * targets) on the default NPU and memory, with the DMA burst sized to
+ * cover a whole embedding row: one run per lookup.
  */
 void
 applyPreset(SystemConfig &cfg, const std::string &value)
@@ -202,12 +202,14 @@ applyPreset(SystemConfig &cfg, const std::string &value)
     preset.pageShift = cfg.pageShift;
     preset.dmaBurstBytes = std::max<std::uint64_t>(
         preset.npu.dmaBurstBytes, spec.tables.front().rowBytes());
-    // sim.* describes how to OBSERVE the simulation, not the machine;
-    // a preset replaces the machine but keeps the kernel knobs (so
-    // e.g. a base-config "sim.profile=1" survives preset jobs). The
-    // zoo design sub-configs ride along for the same reason: they
-    // only matter when mmuDesign selects them.
+    // sim.* and trace.* describe how to OBSERVE the simulation, not
+    // the machine; a preset replaces the machine but keeps them (so
+    // e.g. a base-config "sim.profile=1" or "trace.enabled=1"
+    // survives preset jobs). The zoo design sub-configs ride along
+    // for the same reason: they only matter when mmuDesign selects
+    // them.
     preset.sim = cfg.sim;
+    preset.trace = cfg.trace;
     preset.rangeMmu = cfg.rangeMmu;
     preset.pomTlb = cfg.pomTlb;
     preset.nmt = cfg.nmt;
@@ -498,8 +500,8 @@ binderKeyTable()
         {"pageShift", "page size of the translation stream (12|21)"},
         {"vaScatterShift", "VA-layout scatter shift (0 = packed)"},
         {"preset", "dlrm_paging|ncf_paging canned machine "
-                   "(keeps name/seed/mmu.design; set mmu.design "
-                   "first)"},
+                   "(keeps name/seed/mmu.design/sim.*/trace.*; set "
+                   "them first)"},
         {"npu.dmaBurstBytes", "per-NPU DMA burst size"},
         {"npu.iaSpmBytes", "activation scratchpad capacity"},
         {"npu.wSpmBytes", "weight scratchpad capacity"},

@@ -1,7 +1,6 @@
 #include "sweep/result_sink.hh"
 
 #include <cstdio>
-#include <fstream>
 #include <ostream>
 
 #include "common/logging.hh"
@@ -132,20 +131,6 @@ ResultSink::writeJson(std::ostream &os, const SweepResults &results,
     os << "\n  ]\n}\n";
 }
 
-bool
-ResultSink::writeJsonFile(const std::string &path,
-                          const SweepResults &results,
-                          const SinkOptions &opts)
-{
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    if (!out) {
-        warn("cannot open sweep JSON output file " + path);
-        return false;
-    }
-    writeJson(out, results, opts);
-    return bool(out);
-}
-
 void
 ResultSink::writeCsv(std::ostream &os, const SweepResults &results)
 {
@@ -190,19 +175,6 @@ ResultSink::writeCsv(std::ostream &os, const SweepResults &results)
             }
         }
     }
-}
-
-bool
-ResultSink::writeCsvFile(const std::string &path,
-                         const SweepResults &results)
-{
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    if (!out) {
-        warn("cannot open sweep CSV output file " + path);
-        return false;
-    }
-    writeCsv(out, results);
-    return bool(out);
 }
 
 } // namespace sweep

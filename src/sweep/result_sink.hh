@@ -38,7 +38,6 @@
 #define NEUMMU_SWEEP_RESULT_SINK_HH
 
 #include <iosfwd>
-#include <string>
 
 #include "sweep/sweep_engine.hh"
 
@@ -57,13 +56,8 @@ class ResultSink
   public:
     static void writeJson(std::ostream &os, const SweepResults &results,
                           const SinkOptions &opts = {});
-    static bool writeJsonFile(const std::string &path,
-                              const SweepResults &results,
-                              const SinkOptions &opts = {});
 
     static void writeCsv(std::ostream &os, const SweepResults &results);
-    static bool writeCsvFile(const std::string &path,
-                             const SweepResults &results);
 };
 
 } // namespace sweep

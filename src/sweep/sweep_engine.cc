@@ -1,11 +1,13 @@
 #include "sweep/sweep_engine.hh"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <mutex>
 #include <sstream>
 #include <thread>
 
+#include "sweep/json_lite.hh"
 #include "system/scheduler.hh"
 #include "workloads/workload_factory.hh"
 
@@ -20,6 +22,52 @@ double
 secondsSince(Clock::time_point start)
 {
     return std::chrono::duration<double>(Clock::now() - start).count();
+}
+
+bool
+endsWith(const std::string &s, const std::string &suffix)
+{
+    return s.size() >= suffix.size() &&
+           s.compare(s.size() - suffix.size(), suffix.size(), suffix) ==
+               0;
+}
+
+/** Structural equality; numbers compare by their raw token text. */
+bool
+sameValue(const JsonValue &a, const JsonValue &b)
+{
+    if (a.kind != b.kind || a.boolean != b.boolean || a.text != b.text ||
+        a.items.size() != b.items.size() ||
+        a.members.size() != b.members.size())
+        return false;
+    for (std::size_t i = 0; i < a.items.size(); i++)
+        if (!sameValue(a.items[i], b.items[i]))
+            return false;
+    for (std::size_t i = 0; i < a.members.size(); i++)
+        if (a.members[i].first != b.members[i].first ||
+            !sameValue(a.members[i].second, b.members[i].second))
+            return false;
+    return true;
+}
+
+/** The dump's top-level groups minus the @p ignored suffixes. */
+JsonValue
+keptGroups(const std::string &dump,
+           const std::vector<std::string> &ignored)
+{
+    JsonValue doc = parseJson(dump);
+    auto &groups = doc.members;
+    groups.erase(std::remove_if(groups.begin(), groups.end(),
+                                [&](const auto &group) {
+                                    for (const std::string &suffix :
+                                         ignored)
+                                        if (endsWith(group.first,
+                                                     suffix))
+                                            return true;
+                                    return false;
+                                }),
+                 groups.end());
+    return doc;
 }
 
 } // namespace
@@ -72,6 +120,7 @@ SweepEngine::runDeclarative(const JobSpec &spec)
     std::ostringstream os;
     system.dumpStatsJson(os);
     out.statsJson = os.str();
+    out.profile = system.mergedProfile();
     return out;
 }
 
@@ -89,7 +138,8 @@ SweepEngine::runOne(const JobSpec &spec, unsigned index) const
                 spec.runner ? spec.runner() : runDeclarative(spec);
             if (rep == 0) {
                 result.outcome = std::move(outcome);
-            } else if (outcome.statsJson != result.outcome.statsJson ||
+            } else if (!sameStats(outcome.statsJson,
+                                  result.outcome.statsJson) ||
                        outcome.totalCycles !=
                            result.outcome.totalCycles) {
                 result.deterministic = false;
@@ -157,6 +207,17 @@ SweepEngine::run(const std::vector<JobSpec> &jobs)
     return out;
 }
 
+bool
+sameStats(const std::string &a, const std::string &b,
+          const std::vector<std::string> &ignored)
+{
+    if (a == b)
+        return true;
+    if (a.empty() || b.empty())
+        return false;
+    return sameValue(keptGroups(a, ignored), keptGroups(b, ignored));
+}
+
 std::string
 compareRuns(const SweepResults &a, const SweepResults &b)
 {
@@ -175,7 +236,7 @@ compareRuns(const SweepResults &a, const SweepResults &b)
             return "job '" + ja.id + "' totalCycles differs: " +
                    std::to_string(ja.outcome.totalCycles) + " vs " +
                    std::to_string(jb.outcome.totalCycles);
-        if (ja.outcome.statsJson != jb.outcome.statsJson)
+        if (!sameStats(ja.outcome.statsJson, jb.outcome.statsJson))
             return "job '" + ja.id + "' stats dump differs";
     }
     return "";

@@ -16,8 +16,9 @@
  * - Deterministic ordering: results land at their job's manifest
  *   index no matter which worker finished first.
  * - Reps: a job run more than once must dump identical stats every
- *   time; divergence is flagged (deterministic=false), which is how
- *   hidden global state would surface.
+ *   time (host nanoseconds in `<sys>.prof` aside); divergence is
+ *   flagged (deterministic=false), which is how hidden global state
+ *   would surface.
  *
  * The ResultSink (result_sink.hh) merges a SweepResults into one
  * schema-versioned JSON document plus a flat CSV for plotting.
@@ -32,6 +33,7 @@
 #include <vector>
 
 #include "common/types.hh"
+#include "sim/profiler.hh"
 #include "sweep/config_binder.hh"
 #include "system/system.hh"
 
@@ -46,6 +48,9 @@ struct JobOutcome
     std::string statsJson;
     Tick totalCycles = 0;
     bool allDone = true;
+    /** Host-time attribution merged over the job's System; empty
+     *  unless it ran with sim.profile=1. */
+    SimProfiler profile;
 };
 
 /**
@@ -167,9 +172,20 @@ class SweepEngine
 };
 
 /**
+ * Whether two StatsRegistry JSON dumps agree once every top-level
+ * group whose name ends in one of @p ignored is dropped. The default
+ * drops `<sys>.prof`, whose host nanoseconds differ run to run;
+ * everything else a System dumps is simulated and must match byte
+ * for byte.
+ */
+bool sameStats(const std::string &a, const std::string &b,
+               const std::vector<std::string> &ignored = {".prof"});
+
+/**
  * Compare two runs of the same manifest job-by-job (ids, success,
- * and stats bytes). Returns "" when identical, else a description of
- * the first mismatch -- the serial-vs-parallel determinism check.
+ * and stats via sameStats()). Returns "" when identical, else a
+ * description of the first mismatch -- the serial-vs-parallel
+ * determinism check.
  */
 std::string compareRuns(const SweepResults &a, const SweepResults &b);
 

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <thread>
 #include <tuple>
@@ -176,13 +177,19 @@ TEST(ConfigBinder, PresetReplacesMachineKeepingIdentity)
                                 {"numNpus", "4"},
                                 {"vaScatterShift", "39"},
                                 {"mmu.design", "neummu"},
+                                {"sim.profile", "1"},
+                                {"trace.enabled", "1"},
+                                {"trace.tailThreshold", "5"},
                                 {"preset", "dlrm_paging"}});
-    // Identity survives...
+    // Identity and the observers survive...
     EXPECT_EQ(cfg.name, "keepme");
     EXPECT_EQ(cfg.seed, 9u);
     EXPECT_EQ(cfg.mmuDesign, "neummu");
     EXPECT_FALSE(cfg.mmu.has_value());
     EXPECT_EQ(cfg.pageShift, smallPageShift);
+    EXPECT_TRUE(cfg.sim.profile);
+    EXPECT_TRUE(cfg.trace.enabled);
+    EXPECT_EQ(cfg.trace.tailThreshold, 5u);
     // ...the machine is the one-NPU gather device: default NPU and
     // memory, DMA burst covering a whole 256 B DLRM row (the 512 B
     // default burst already does).
@@ -516,6 +523,146 @@ TEST(SweepEngine, ParallelRunMatchesSerialRun)
     EXPECT_EQ(parallel.summary.threads, 4u);
 }
 
+TEST(SweepEngine, ProfiledRunsCompareOnSimulatedStats)
+{
+    // sim.profile=1 adds host nanoseconds (<sys>.prof) to every dump;
+    // they differ run to run, so they must neither flag a rep as
+    // nondeterministic nor break the serial-vs-parallel comparison.
+    std::vector<sweep::JobSpec> jobs = sweep::expandGrid(
+        "sim.profile=1;mmu.design=neummu|iommu;"
+        "workloads=dense:model=CNN1,batch=1,layers=2",
+        SystemConfig{});
+    for (sweep::JobSpec &job : jobs)
+        job.reps = 2;
+    sweep::SweepOptions serial_opts;
+    serial_opts.threads = 1;
+    const sweep::SweepResults serial =
+        sweep::SweepEngine(serial_opts).run(jobs);
+    sweep::SweepOptions parallel_opts;
+    parallel_opts.threads = 2;
+    const sweep::SweepResults parallel =
+        sweep::SweepEngine(parallel_opts).run(jobs);
+    for (const sweep::JobResult &job : parallel.jobs) {
+        ASSERT_TRUE(job.ok) << job.error;
+        EXPECT_TRUE(job.deterministic) << job.id;
+        EXPECT_NE(job.outcome.statsJson.find(".prof\""),
+                  std::string::npos);
+    }
+    EXPECT_EQ(sweep::compareRuns(serial, parallel), "");
+}
+
+TEST(SweepEngine, SameStatsIgnoresOnlyTheNamedGroups)
+{
+    const std::string base = "{\n  \"sys.sim\": {\"simTicks\": 5},"
+                             "\n  \"sys.prof\": {\"kernelNanos\": 1},"
+                             "\n  \"sys.fastpath\": {\"trains\": 2}\n}";
+    std::string host = base;
+    host.replace(host.find("\"kernelNanos\": 1"), 16,
+                 "\"kernelNanos\": 9");
+    std::string fast = base;
+    fast.replace(fast.find("\"trains\": 2"), 11, "\"trains\": 3");
+    std::string sim = base;
+    sim.replace(sim.find("\"simTicks\": 5"), 13, "\"simTicks\": 6");
+    EXPECT_TRUE(sweep::sameStats(base, host));
+    EXPECT_FALSE(sweep::sameStats(base, fast));
+    EXPECT_TRUE(sweep::sameStats(base, fast, {".prof", ".fastpath"}));
+    EXPECT_FALSE(sweep::sameStats(base, sim, {".prof", ".fastpath"}));
+    EXPECT_FALSE(sweep::sameStats(base, ""));
+}
+
+// ---------------------------------------------------------------------
+// Simulator scenarios (scripts/sim_scenarios.jsonl): each runs plain,
+// profiled and traced. Observation must not change a simulated stat,
+// no DMA burst tracker may rehash in steady state, every kernel and
+// translation fast path must fire on some scenario, and the 64-NPU
+// mix must complete.
+// ---------------------------------------------------------------------
+
+namespace {
+
+/** The dump group whose name ends in @p suffix; nullptr if absent. */
+const sweep::JsonValue *
+findGroup(const sweep::JsonValue &dump, const std::string &suffix)
+{
+    for (const auto &[name, group] : dump.members)
+        if (name.size() >= suffix.size() &&
+            name.compare(name.size() - suffix.size(), suffix.size(),
+                         suffix) == 0)
+            return &group;
+    return nullptr;
+}
+
+/** Stat @p stat of @p group, 0 when either is absent. */
+double
+statOf(const sweep::JsonValue *group, const std::string &stat)
+{
+    const sweep::JsonValue *v = group ? group->find(stat) : nullptr;
+    return v ? v->number() : 0.0;
+}
+
+} // namespace
+
+TEST(SimScenarios, ObservationIsInvisibleAndFastPathsFire)
+{
+    const std::vector<sweep::JobSpec> plain = sweep::loadManifest(
+        std::string(NEUMMU_SCRIPTS_DIR) + "/sim_scenarios.jsonl",
+        SystemConfig{});
+    const std::size_t n = plain.size();
+    std::vector<sweep::JobSpec> jobs = plain;
+    for (const char *observer : {"sim.profile", "trace.enabled"})
+        for (sweep::JobSpec job : plain) {
+            job.id += std::string("+") + observer;
+            job.overrides.push_back({observer, "1"});
+            jobs.push_back(std::move(job));
+        }
+    sweep::SweepOptions opts;
+    opts.threads = 2;
+    const sweep::SweepResults results = sweep::SweepEngine(opts).run(jobs);
+    for (const sweep::JobResult &job : results.jobs) {
+        ASSERT_TRUE(job.ok) << job.id << ": " << job.error;
+        EXPECT_TRUE(job.outcome.allDone) << job.id;
+    }
+
+    const std::vector<std::string> fastPaths = {
+        "trainsStarted", "trainSubEventsInlined", "sameTickShortcuts",
+        "xlateRegisterHits", "walkCacheHits"};
+    std::set<std::string> fired;
+    bool npu64 = false;
+    for (std::size_t i = 0; i < n; i++) {
+        SCOPED_TRACE(plain[i].id);
+        const std::string &dump = results.jobs[i].outcome.statsJson;
+        const std::string &profiled =
+            results.jobs[n + i].outcome.statsJson;
+        const std::string &traced =
+            results.jobs[2 * n + i].outcome.statsJson;
+        EXPECT_TRUE(sweep::sameStats(dump, profiled,
+                                     {".prof", ".fastpath", ".trace"}))
+            << "profiling changed a simulated stat";
+        EXPECT_TRUE(sweep::sameStats(dump, traced,
+                                     {".prof", ".fastpath", ".trace"}))
+            << "tracing changed a simulated stat";
+
+        const sweep::JsonValue profiledDump = sweep::parseJson(profiled);
+        const sweep::JsonValue *fast =
+            findGroup(profiledDump, ".fastpath");
+        ASSERT_NE(fast, nullptr);
+        EXPECT_EQ(statOf(fast, "burstTrackerRehashes"), 0.0);
+        for (const std::string &counter : fastPaths)
+            if (statOf(fast, counter) > 0.0)
+                fired.insert(counter);
+
+        const sweep::JsonValue tracedDump = sweep::parseJson(traced);
+        EXPECT_GT(statOf(findGroup(tracedDump, ".trace"),
+                         "spansRecorded"),
+                  0.0);
+        npu64 |= plain[i].id == "npu64_mix";
+    }
+    for (const std::string &counter : fastPaths)
+        EXPECT_EQ(fired.count(counter), 1u)
+            << counter << " is zero on every scenario";
+    EXPECT_TRUE(npu64) << "sim_scenarios.jsonl lost npu64_mix";
+}
+
 // ---------------------------------------------------------------------
 // Concurrency-safety regression (independent of the engine): two
 // different Systems on two raw threads must reproduce their serial
@@ -631,11 +778,6 @@ TEST(ResultSink, CsvFlattensEveryScalar)
     EXPECT_NE(csv.find("good,ok,sys.mmu,requests,"),
               std::string::npos);
     EXPECT_NE(csv.find("bad,error,,,"), std::string::npos);
-
-    const std::string path = tempPath("sweep_sink_test.csv");
-    EXPECT_TRUE(sweep::ResultSink::writeCsvFile(path, results));
-    std::ifstream in(path);
-    EXPECT_TRUE(in.good());
 }
 
 TEST(ResultSink, CsvQuotesJobIdsWithCommas)
@@ -683,8 +825,11 @@ TEST(SweepEndToEnd, ManifestFileRunsAndMerges)
     EXPECT_EQ(results.summary.failures, 0u);
 
     const std::string json_path = tempPath("sweep_e2e_out.json");
-    EXPECT_TRUE(
-        sweep::ResultSink::writeJsonFile(json_path, results));
+    {
+        std::ofstream out(json_path);
+        sweep::ResultSink::writeJson(out, results);
+        EXPECT_TRUE(out.good());
+    }
     std::ifstream in(json_path);
     std::ostringstream merged;
     merged << in.rdbuf();

@@ -20,6 +20,9 @@
  *   --reps=N            override every job's rep count
  *   --json=FILE         write the merged JSON document
  *   --csv=FILE          write the flat CSV
+ *   --collapsed=FILE    write flamegraph-compatible collapsed stacks
+ *                       of the host time merged over every profiled
+ *                       job (run with --set=sim.profile=1)
  *   --timing=0|1        include wall-clock fields (default 1; 0 makes
  *                       output byte-stable for comparisons)
  *   --serial-baseline=1 run the manifest serially first, verify the
@@ -31,12 +34,21 @@
  *   --list-workloads    print the workload factory kinds and exit
  *
  * Exit codes: 0 success; 1 usage/manifest error (fatal); 2 a
- * requested --json/--csv file could not be written; 3 job failures
- * under --strict; 4 serial/parallel divergence.
+ * requested --json/--csv/--collapsed file could not be written
+ * (checked before any job runs); 3 job failures under --strict; 4
+ * serial/parallel divergence.
+ *
+ * Host-time attribution: `--set=sim.profile=1` adds `<sys>.prof.*`
+ * (self nanoseconds per subsystem) and `<sys>.fastpath.*` (kernel and
+ * translation fast-path hit counters) to every job's dump, e.g.
+ *
+ *   neummu_sweep --manifest=scripts/sim_scenarios.jsonl \
+ *       --set=sim.profile=1 --collapsed=stacks.txt --json=out.json
  */
 
 #include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -145,6 +157,27 @@ main(int argc, char **argv)
                      "--grid=SPEC (try --list-keys / "
                      "--list-workloads)");
 
+    // Open every requested output before any job runs, so an
+    // unwritable path costs nothing but the error.
+    const std::string json_path = args.get("json", "");
+    const std::string csv_path = args.get("csv", "");
+    const std::string collapsed_path = args.get("collapsed", "");
+    std::ofstream json_out, csv_out, collapsed_out;
+    const auto openOutput = [](const std::string &path,
+                               std::ofstream &out) {
+        if (path.empty())
+            return true;
+        out.open(path, std::ios::binary | std::ios::trunc);
+        if (!out)
+            std::fprintf(stderr, "error: cannot write %s\n",
+                         path.c_str());
+        return bool(out);
+    };
+    if (!openOutput(json_path, json_out) ||
+        !openOutput(csv_path, csv_out) ||
+        !openOutput(collapsed_path, collapsed_out))
+        return 2;
+
     const unsigned threads = unsigned(args.getInt("jobs", 1));
     const bool quiet = args.getBool("quiet", false);
     const bool timing = args.getBool("timing", true);
@@ -224,22 +257,40 @@ main(int argc, char **argv)
         sweep::SinkOptions sink;
         sink.includeTiming = timing;
         bool output_failed = false;
-        const std::string json_path = args.get("json", "");
+        const auto finishOutput = [&](std::ofstream &out,
+                                      const std::string &path,
+                                      const char *what) {
+            out.close();
+            if (out) {
+                std::printf("wrote %s to %s\n", what, path.c_str());
+            } else {
+                std::fprintf(stderr, "error: writing %s failed\n",
+                             path.c_str());
+                output_failed = true;
+            }
+        };
         if (!json_path.empty()) {
-            if (sweep::ResultSink::writeJsonFile(json_path, results,
-                                                 sink))
-                std::printf("wrote merged sweep JSON to %s\n",
-                            json_path.c_str());
-            else
-                output_failed = true;
+            sweep::ResultSink::writeJson(json_out, results, sink);
+            finishOutput(json_out, json_path, "merged sweep JSON");
         }
-        const std::string csv_path = args.get("csv", "");
         if (!csv_path.empty()) {
-            if (sweep::ResultSink::writeCsvFile(csv_path, results))
-                std::printf("wrote sweep CSV to %s\n",
-                            csv_path.c_str());
-            else
-                output_failed = true;
+            sweep::ResultSink::writeCsv(csv_out, results);
+            finishOutput(csv_out, csv_path, "sweep CSV");
+        }
+        if (!collapsed_path.empty()) {
+            SimProfiler merged;
+            for (const sweep::JobResult &job : results.jobs)
+                if (job.ok)
+                    merged.merge(job.outcome.profile);
+            const std::string stacks = merged.collapsed();
+            if (stacks.empty())
+                std::fprintf(stderr,
+                             "warning: no job ran with sim.profile=1; "
+                             "%s is empty\n",
+                             collapsed_path.c_str());
+            collapsed_out << stacks;
+            finishOutput(collapsed_out, collapsed_path,
+                         "collapsed stacks");
         }
 
         std::printf("sweep complete: %u job(s), %u failure(s), "

@@ -401,49 +401,6 @@ runGrid(const SystemConfig &base,
     return results;
 }
 
-/**
- * Run the --workloads=<spec;spec;...> option (factory grammar, see
- * workloadFactoryHelp()) on the machine described by @p base, one
- * tenant per NPU slot in list order. The per-workload stats groups
- * land in @p reporter's registry (when given) alongside a
- * "<design>.tenants" summary group, so --json captures the whole
- * co-run. @p base.numNpus is raised to the tenant count if needed.
- */
-inline SchedulerResult
-runWorkloadList(SystemConfig base, const std::string &list,
-                Reporter *reporter = nullptr,
-                const std::string &design = "tenants")
-{
-    std::vector<std::unique_ptr<Workload>> workloads =
-        makeWorkloadsFromList(list);
-    base.numNpus =
-        std::max<unsigned>(base.numNpus, unsigned(workloads.size()));
-
-    System system(base);
-    Scheduler scheduler(system);
-    for (auto &wl : workloads)
-        scheduler.add(std::move(wl));
-    const SchedulerResult result = scheduler.run();
-
-    if (reporter) {
-        stats::Group &g = reporter->group(design);
-        g.scalar("totalCycles").set(double(result.totalCycles));
-        g.scalar("tenants").set(double(result.workloads.size()));
-        g.scalar("allDone").set(result.allDone ? 1.0 : 0.0);
-        for (const WorkloadRunStats &ws : result.workloads) {
-            stats::Group &wg = reporter->group(
-                design + ".npu" + std::to_string(ws.npu) + "." +
-                ws.name);
-            wg.scalar("finishTick").set(double(ws.finishTick));
-            wg.scalar("translations").set(double(ws.translations));
-            wg.scalar("bytesFetched").set(double(ws.bytesFetched));
-            wg.scalar("dmaStallCycles")
-                .set(double(ws.dmaStallCycles));
-        }
-    }
-    return result;
-}
-
 /** Prints the standard figure header with a reproduction note. */
 inline void
 printHeader(const std::string &figure, const std::string &description)

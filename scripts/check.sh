@@ -179,9 +179,9 @@ if ! grep -q '"ok": false' "$SMOKE_JSON"; then
 fi
 echo "sweep smoke report: $SMOKE_JSON"
 
-# An unwritable --json/--csv/--collapsed path is exit code 2, never
-# a silent 0, and it is caught before any job runs.
-for out_flag in --json --csv --collapsed; do
+# An unwritable --json/--csv/--collapsed/--trace-dir path is exit
+# code 2, never a silent 0, and it is caught before any job runs.
+for out_flag in --json --csv --collapsed --trace-dir; do
   set +e
   out="$("$BUILD_DIR/neummu_sweep" \
       --grid="workloads=dense:model=CNN1,batch=1,layers=1" \
@@ -234,18 +234,15 @@ echo "sweep scaling report: $SWEEP_JSON"
 
 # --- Serving gates -----------------------------------------------------
 # Open-loop serving mode: the ServingEngine must survive a Poisson run
-# and a tenant-churn run end to end through the neummu_serve CLI, and
-# its dump must be byte-reproducible for the same seed.
-if [[ ! -x "$BUILD_DIR/neummu_serve" ]]; then
-  echo "error: neummu_serve was not built" >&2
-  exit 1
-fi
+# and a tenant-churn run end to end as neummu_sweep jobs (serve.enabled=1
+# plus a cycle limit, no workloads), and its dump must be
+# byte-reproducible for the same seed.
 
 # Poisson smoke: quantiles and windowed series must be in the JSON.
 SERVE_POISSON="$BUILD_DIR/BENCH_serve_poisson.json"
-"$BUILD_DIR/neummu_serve" --cycles=2000000 \
-    --set="numNpus=4;serve.process=poisson" \
-    --json="$SERVE_POISSON" > /dev/null
+"$BUILD_DIR/neummu_sweep" \
+    --grid="numNpus=4;serve.enabled=1;serve.process=poisson;limit=2000000" \
+    --quiet=1 --strict=1 --json="$SERVE_POISSON" > /dev/null
 for key in '"p50"' '"p99"' '"p999"' '"windowArrivals"' \
            '"arrivalDigestLo"'; do
   if ! grep -q "$key" "$SERVE_POISSON"; then
@@ -255,15 +252,18 @@ for key in '"p50"' '"p99"' '"p999"' '"windowArrivals"' \
 done
 
 # Tenant-churn smoke: address spaces must be created and torn down
-# (admitted > initial cohort, retired > 0, pages released).
-SERVE_CHURN_SET="numNpus=4;paging.enabled=1;\
+# (admitted > initial cohort, retired > 0, pages released). The
+# report printed after the sweep must carry the per-tenant table.
+SERVE_CHURN_SET="serve.enabled=1;seed=7;numNpus=4;paging.enabled=1;\
 paging.residentLimitPages=96;paging.faultLatency=1000;\
 serve.process=bursty;serve.tenants=6;serve.demandPaged=1;\
 serve.lifetimeRequests=8;serve.workload=embedding:footprint=256K,\
 accesses=16"
 SERVE_CHURN="$BUILD_DIR/BENCH_serve_churn.json"
-"$BUILD_DIR/neummu_serve" --cycles=4000000 --seed=7 \
-    --set="$SERVE_CHURN_SET" --json="$SERVE_CHURN" > /dev/null
+SERVE_CHURN_OUT="$BUILD_DIR/BENCH_serve_churn.txt"
+"$BUILD_DIR/neummu_sweep" --grid="limit=4000000" \
+    --set="$SERVE_CHURN_SET" --timing=0 --strict=1 \
+    --json="$SERVE_CHURN" > "$SERVE_CHURN_OUT"
 if grep -q '"retired": 0' "$SERVE_CHURN"; then
   echo "error: serving churn run retired no tenants" >&2
   exit 1
@@ -272,11 +272,18 @@ if ! grep -q '"releasedPages"' "$SERVE_CHURN"; then
   echo "error: serving churn run released no pages" >&2
   exit 1
 fi
+for line in 'serving report' 'tenant   slot'; do
+  if ! grep -q "$line" "$SERVE_CHURN_OUT"; then
+    echo "error: serving churn run printed no '$line'" >&2
+    exit 1
+  fi
+done
 
 # Byte-identity: the same seed twice.
 SERVE_A="$BUILD_DIR/BENCH_serve_rep.json"
-"$BUILD_DIR/neummu_serve" --cycles=4000000 --seed=7 \
-    --set="$SERVE_CHURN_SET" --json="$SERVE_A" > /dev/null
+"$BUILD_DIR/neummu_sweep" --grid="limit=4000000" \
+    --set="$SERVE_CHURN_SET" --timing=0 --quiet=1 --strict=1 \
+    --json="$SERVE_A" > /dev/null
 if ! cmp -s "$SERVE_CHURN" "$SERVE_A"; then
   echo "error: same-seed serving runs dumped different stats" >&2
   exit 1
@@ -382,36 +389,37 @@ echo "design-zoo report: $ZOO_JSON"
 
 # --- Tracing gates -----------------------------------------------------
 # Request-lifecycle tracing: the churn serving scenario with a tail
-# threshold must produce a Perfetto-loadable Chrome trace that is
-# byte-identical across two same-seed runs, and the trace must pass
-# the schema validator. With trace.* off (every run above), the
-# golden matrix and serving dumps already pinned byte-identity -- the
-# off path adds nothing to the dump. Belt and braces: an explicit
-# trace.enabled=0 run must dump byte-identically to the plain run.
-if [[ ! -x "$BUILD_DIR/neummu_trace" ]]; then
-  echo "error: neummu_trace was not built" >&2
-  exit 1
-fi
+# threshold must produce a Perfetto-loadable Chrome trace
+# (--trace-dir) that is byte-identical across two same-seed runs, and
+# the trace must pass the schema validator. With trace.* off (every
+# run above), the golden matrix and serving dumps already pinned
+# byte-identity -- the off path adds nothing to the dump. Belt and
+# braces: an explicit trace.enabled=0 run (through --set, so the job
+# id stays job0) must dump byte-identically to the plain run.
 TRACE_OFF="$BUILD_DIR/BENCH_serve_traceoff.json"
-"$BUILD_DIR/neummu_serve" --cycles=4000000 --seed=7 \
-    --set="$SERVE_CHURN_SET;trace.enabled=0" --json="$TRACE_OFF" \
-    > /dev/null
+"$BUILD_DIR/neummu_sweep" --grid="limit=4000000" \
+    --set="$SERVE_CHURN_SET;trace.enabled=0" --timing=0 --quiet=1 \
+    --strict=1 --json="$TRACE_OFF" > /dev/null
 if ! cmp -s "$SERVE_CHURN" "$TRACE_OFF"; then
   echo "error: trace.enabled=0 changed the serving dump; the off" \
        "path must be invisible" >&2
   exit 1
 fi
 
-TRACE_A="$BUILD_DIR/serve_churn.trace.json"
-TRACE_B="$BUILD_DIR/serve_churn_rep.trace.json"
+TRACE_DIR_A="$BUILD_DIR/traces_a"
+TRACE_DIR_B="$BUILD_DIR/traces_b"
+rm -rf "$TRACE_DIR_A" "$TRACE_DIR_B"
+mkdir -p "$TRACE_DIR_A" "$TRACE_DIR_B"
 TRACE_STATS="$BUILD_DIR/BENCH_serve_traced.json"
-"$BUILD_DIR/neummu_serve" --cycles=4000000 --seed=7 \
-    --set="$SERVE_CHURN_SET;trace.tailThreshold=20000" \
-    --trace="$TRACE_A" --json="$TRACE_STATS" > /dev/null
-"$BUILD_DIR/neummu_serve" --cycles=4000000 --seed=7 \
-    --set="$SERVE_CHURN_SET;trace.tailThreshold=20000" \
-    --trace="$TRACE_B" --report=0 > /dev/null
-if ! cmp -s "$TRACE_A" "$TRACE_B"; then
+TRACE_SET="$SERVE_CHURN_SET;trace.enabled=1;trace.tailThreshold=20000"
+"$BUILD_DIR/neummu_sweep" --grid="limit=4000000" \
+    --set="$TRACE_SET" --trace-dir="$TRACE_DIR_A" --quiet=1 \
+    --strict=1 --json="$TRACE_STATS" > /dev/null
+"$BUILD_DIR/neummu_sweep" --grid="limit=4000000" \
+    --set="$TRACE_SET" --trace-dir="$TRACE_DIR_B" --quiet=1 \
+    --strict=1 > /dev/null
+TRACE_A="$TRACE_DIR_A/job0.trace.json"
+if ! cmp -s "$TRACE_A" "$TRACE_DIR_B/job0.trace.json"; then
   echo "error: same-seed Chrome traces differ" >&2
   exit 1
 fi
@@ -426,3 +434,36 @@ if ! grep -q '"dropped"' "$TRACE_STATS"; then
   exit 1
 fi
 echo "tracing gate: same-seed traces identical, schema valid ($TRACE_A)"
+
+# Ad-hoc traced dense job: its Chrome trace must validate too.
+ADHOC_DIR="$BUILD_DIR/traces_adhoc"
+rm -rf "$ADHOC_DIR"
+mkdir -p "$ADHOC_DIR"
+"$BUILD_DIR/neummu_sweep" --grid="workloads=dense:model=CNN1,layers=4" \
+    --set=trace.enabled=1 --trace-dir="$ADHOC_DIR" --quiet=1 \
+    --strict=1 > /dev/null
+if command -v python3 > /dev/null; then
+  python3 scripts/check_trace.py "$ADHOC_DIR/job0.trace.json"
+elif [[ ! -s "$ADHOC_DIR/job0.trace.json" ]]; then
+  echo "error: traced dense job wrote no Chrome trace" >&2
+  exit 1
+fi
+
+# Honest tracing: a ring too small for the run drops spans; the
+# decomposition header must say so and stderr must warn, naming the
+# job, the drop count and the traced count.
+DROP_OUT="$BUILD_DIR/BENCH_trace_dropped.txt"
+DROP_ERR="$BUILD_DIR/BENCH_trace_dropped.err"
+"$BUILD_DIR/neummu_sweep" --grid="workloads=dense:model=CNN1,layers=4" \
+    --set="trace.enabled=1;trace.ring=1024" --strict=1 \
+    > "$DROP_OUT" 2> "$DROP_ERR"
+if ! grep -q "INCOMPLETE: [0-9]* oldest spans dropped" "$DROP_OUT"; then
+  echo "error: a decomposition over dropped spans does not say so" >&2
+  exit 1
+fi
+if ! grep -q "warning: job 'job0' dropped [0-9]* trace spans.* newest \
+[0-9]* translation" "$DROP_ERR"; then
+  echo "error: dropped trace spans raised no warning on stderr" >&2
+  exit 1
+fi
+echo "tracing gate: dropped spans are reported ($DROP_ERR)"

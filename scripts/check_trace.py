@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Validate a Chrome trace-event JSON file produced by the tracing
-subsystem (neummu_serve --trace / neummu_trace).
+subsystem (neummu_sweep --trace-dir=DIR writes DIR/<job id>.trace.json
+for every job run with trace.enabled=1).
 
 Usage: check_trace.py FILE.trace.json [--min-events=N]
 

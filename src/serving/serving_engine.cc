@@ -263,6 +263,7 @@ ServingEngine::report() const
     r.dropped = _dropped;
     r.unrouted = _unrouted;
     r.sloViolations = _violations;
+    r.sloLatencyCycles = _cfg.sloLatencyCycles;
     r.admitted = _tenants.admitted();
     r.retired = _tenants.retired();
     r.liveTenants = _tenants.live();

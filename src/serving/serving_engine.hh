@@ -48,7 +48,10 @@ class TraceBuffer;
 
 namespace serving {
 
-/** Point-in-time SLO summary (the neummu_serve report surface). */
+/**
+ * Point-in-time SLO summary. A sweep job keeps its System's report in
+ * JobOutcome::serve, and neummu_sweep prints it after the sweep.
+ */
 struct ServeReport
 {
     std::uint64_t arrivals = 0;
@@ -58,6 +61,8 @@ struct ServeReport
     /** Arrivals with no routable tenant (all draining/retired). */
     std::uint64_t unrouted = 0;
     std::uint64_t sloViolations = 0;
+    /** The SLO the violations count against (serve.sloLatency). */
+    std::uint64_t sloLatencyCycles = 0;
     std::uint64_t admitted = 0;
     std::uint64_t retired = 0;
     std::uint64_t liveTenants = 0;

@@ -1,8 +1,7 @@
 #include "sweep/manifest.hh"
 
-#include <algorithm>
-#include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <set>
 #include <sstream>
 
@@ -34,10 +33,34 @@ coercedUint(const JsonValue &v, const std::string &what)
     if (!v.isNumber())
         throw ManifestError(what + ": value must be a number");
     const double d = v.number();
-    if (d < 0 || d != double(std::uint64_t(d)))
+    // 0x1p64 first: converting a larger double to uint64 is undefined.
+    if (d < 0 || d >= 0x1p64 || d != double(std::uint64_t(d)))
         throw ManifestError(what +
                             ": value must be a non-negative integer");
     return std::uint64_t(d);
+}
+
+/** A grid clause value read with the manifest's unsigned rule, so
+ *  "-1" and "2x" are errors instead of wrapping or truncating. */
+std::uint64_t
+gridUint(const std::string &value, const std::string &what)
+{
+    JsonValue parsed;
+    try {
+        parsed = parseJson(value);
+    } catch (const JsonError &) {
+        throw ManifestError(what + ": '" + value +
+                            "' is not a non-negative integer");
+    }
+    return coercedUint(parsed, what);
+}
+
+unsigned
+checkedReps(std::uint64_t reps, const std::string &what)
+{
+    if (reps == 0 || reps > std::numeric_limits<unsigned>::max())
+        throw ManifestError(what + ": reps must be in [1, 2^32)");
+    return unsigned(reps);
 }
 
 JobSpec
@@ -81,9 +104,8 @@ jobFromLine(const JsonValue &line, const std::string &what,
                                     "an array of strings");
             }
         } else if (key == "reps") {
-            job.reps = unsigned(coercedUint(value, what + ": reps"));
-            if (job.reps == 0)
-                throw ManifestError(what + ": reps must be >= 1");
+            job.reps =
+                checkedReps(coercedUint(value, what + ": reps"), what);
         } else if (key == "limit") {
             job.limit = Tick(coercedUint(value, what + ": limit"));
         } else {
@@ -93,19 +115,6 @@ jobFromLine(const JsonValue &line, const std::string &what,
         }
     }
 
-    // A job that turns on the serving layer generates its own traffic
-    // open-loop; everything else needs at least one workload. The
-    // run-time binder re-checks against the final config, so a
-    // "serve.enabled": 0 override still fails -- just per-job instead
-    // of killing the whole manifest.
-    const bool serves = std::any_of(
-        job.overrides.begin(), job.overrides.end(),
-        [](const std::pair<std::string, std::string> &kv) {
-            return kv.first.rfind("serve.", 0) == 0;
-        });
-    if (job.workloads.empty() && !serves)
-        throw ManifestError(what + ": job '" + job.id +
-                            "' has no workloads");
     return job;
 }
 
@@ -230,10 +239,10 @@ expandGrid(const std::string &spec, const SystemConfig &base)
                     wpos = plus + 1;
                 }
             } else if (clause.key == "reps") {
-                job.reps = unsigned(
-                    std::strtoul(value.c_str(), nullptr, 10));
-                if (job.reps == 0)
-                    throw ManifestError("grid reps must be >= 1");
+                job.reps =
+                    checkedReps(gridUint(value, "grid reps"), "grid");
+            } else if (clause.key == "limit") {
+                job.limit = Tick(gridUint(value, "grid limit"));
             } else {
                 job.overrides.emplace_back(clause.key, value);
             }
@@ -243,9 +252,6 @@ expandGrid(const std::string &spec, const SystemConfig &base)
         }
         job.id = id.empty() ? "job" + std::to_string(jobs.size())
                             : id;
-        if (job.workloads.empty())
-            throw ManifestError(
-                "grid spec needs a workloads= clause");
         // Ids key the merged output; a repeated grid value (e.g.
         // seed=1|1) would silently shadow a job downstream.
         if (!ids.insert(job.id).second)

@@ -14,7 +14,9 @@
  *   set        ordered ConfigBinder overrides (numbers and bools are
  *              coerced to their string form)
  *   workloads  array of workload-factory specs (or one spec string);
- *              one tenant per NPU slot
+ *              one tenant per NPU slot. Optional here: a serving job
+ *              (serve.enabled=1) makes its own traffic, and a job
+ *              with neither fails alone when it runs
  *   reps       optional repeat count (reps > 1 cross-checks
  *              determinism)
  *   limit      optional event-queue run limit in ticks
@@ -23,10 +25,13 @@
  *
  *   "mmu.design=neummu;mmu.numPtws=8|16|32;workloads=dense:model=CNN1"
  *
+ *   "numNpus=4;serve.enabled=1;serve.process=poisson;limit=2000000"
+ *
  * ';'-separated clauses of key=v1|v2|..., expanded in clause order
- * (rightmost fastest). 'workloads' and 'reps' are job fields (tenants
- * within a workloads value separated by '+'); every other key is a
- * ConfigBinder override. Job ids are built from the varying keys.
+ * (rightmost fastest). 'workloads', 'reps' and 'limit' are job fields
+ * (tenants within a workloads value separated by '+'; reps and limit
+ * parsed like the manifest's); every other key is a ConfigBinder
+ * override. Job ids are built from the varying keys.
  *
  * All errors are user errors and throw ManifestError.
  */

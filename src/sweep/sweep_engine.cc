@@ -5,6 +5,7 @@
 #include <chrono>
 #include <mutex>
 #include <sstream>
+#include <stdexcept>
 #include <thread>
 
 #include "sweep/json_lite.hh"
@@ -118,9 +119,19 @@ SweepEngine::runDeclarative(const JobSpec &spec)
     out.totalCycles = run.totalCycles;
     out.allDone = run.allDone;
     std::ostringstream os;
-    system.dumpStatsJson(os);
+    system.dumpStatsJson(os); // also drains the trace engine
     out.statsJson = os.str();
     out.profile = system.mergedProfile();
+    if (system.hasServingEngine())
+        out.serve = system.servingEngine().report();
+    if (system.hasTraceEngine()) {
+        trace::TraceEngine &engine = system.traceEngine();
+        if (!spec.tracePath.empty() &&
+            !engine.writeChromeTraceFile(spec.tracePath))
+            throw std::runtime_error("cannot write Chrome trace " +
+                                     spec.tracePath);
+        out.trace = engine.report();
+    }
     return out;
 }
 

@@ -29,13 +29,16 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "common/types.hh"
+#include "serving/serving_engine.hh"
 #include "sim/profiler.hh"
 #include "sweep/config_binder.hh"
 #include "system/system.hh"
+#include "trace/trace_engine.hh"
 
 namespace neummu {
 namespace sweep {
@@ -51,6 +54,11 @@ struct JobOutcome
     /** Host-time attribution merged over the job's System; empty
      *  unless it ran with sim.profile=1. */
     SimProfiler profile;
+    /** SLO summary; present when the job ran with serve.enabled=1. */
+    std::optional<serving::ServeReport> serve;
+    /** Drained trace report (span counts, latency decompositions);
+     *  present when the job ran with trace.enabled=1. */
+    std::optional<trace::TraceEngine::Report> trace;
 };
 
 /**
@@ -73,9 +81,13 @@ struct JobSpec
     unsigned reps = 1;
     /** Event-queue run limit (inclusive; maxTick = drain). */
     Tick limit = maxTick;
+    /** Where a traced job (trace.enabled=1) writes its Chrome
+     *  trace-event JSON; "" writes none. An unwritable path fails the
+     *  job. Every rep rewrites the file. */
+    std::string tracePath;
     /**
      * Programmatic job body; when set, the declarative fields above
-     * (base/overrides/workloads/limit) are ignored. Must be safe to
+     * (base/overrides/workloads/limit/tracePath) are ignored. Must be safe to
      * call from a worker thread and must not touch state shared with
      * other jobs (distinct result slots are fine).
      */
@@ -155,7 +167,8 @@ class SweepEngine
      * Execute one declarative job body: bind overrides onto the base
      * config, instantiate the workload list (one tenant per slot,
      * numNpus raised to the tenant count), run the Scheduler to
-     * @p spec.limit, and dump the System's StatsRegistry. Throws
+     * @p spec.limit, dump the System's StatsRegistry, keep its
+     * serving and trace reports, and write @p spec.tracePath. Throws
      * BindError / WorkloadError / std::runtime_error on user error --
      * run() captures these per job.
      */

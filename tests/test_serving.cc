@@ -586,6 +586,12 @@ TEST(ServingSweep, ManifestServingJobNeedsNoWorkloads)
         sweep::SweepEngine::runDeclarative(jobs[0]);
     EXPECT_EQ(out.totalCycles, 500000u);
     EXPECT_NE(out.statsJson.find("serving"), std::string::npos);
+    // The finished System's SLO report rides along; no trace ran.
+    ASSERT_TRUE(out.serve.has_value());
+    EXPECT_GT(out.serve->arrivals, 0u);
+    EXPECT_EQ(out.serve->sloLatencyCycles,
+              SystemConfig{}.serve.sloLatencyCycles);
+    EXPECT_FALSE(out.trace.has_value());
 }
 
 TEST(ServingSweep, DumpsIdenticalAcrossWorkerWidthsAndReps)
@@ -634,8 +640,17 @@ TEST(ServingSweep, ServingJobWithoutLimitIsRejected)
 
 TEST(ServingSweep, NonServingJobStillNeedsWorkloads)
 {
-    std::istringstream in("{\"id\": \"empty\", \"limit\": 1000}\n");
-    EXPECT_THROW(
-        sweep::parseManifest(in, "test", SystemConfig{}),
-        sweep::ManifestError);
+    // The rule is checked on the job's final config when it runs, so
+    // a "serve.enabled": 0 override fails that job, not the manifest.
+    std::istringstream in(
+        "{\"id\": \"empty\", \"limit\": 1000}\n"
+        "{\"id\": \"off\", \"set\": {\"serve.enabled\": 0}, "
+        "\"limit\": 1000}\n");
+    const std::vector<sweep::JobSpec> jobs =
+        sweep::parseManifest(in, "test", SystemConfig{});
+    ASSERT_EQ(jobs.size(), 2u);
+    for (const sweep::JobSpec &job : jobs)
+        EXPECT_THROW(sweep::SweepEngine::runDeclarative(job),
+                     sweep::BindError)
+            << job.id;
 }

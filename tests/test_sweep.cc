@@ -353,7 +353,6 @@ TEST(Manifest, RejectsJunk)
         std::istringstream in(text);
         return sweep::parseManifest(in, "test", base);
     };
-    EXPECT_THROW(parse("{\"workloads\": []}"), sweep::ManifestError);
     EXPECT_THROW(parse("{\"workloads\": [\"x\"], \"bogus\": 1}"),
                  sweep::ManifestError);
     EXPECT_THROW(parse("not json\n"), sweep::ManifestError);
@@ -362,6 +361,17 @@ TEST(Manifest, RejectsJunk)
         parse("{\"id\": \"dup\", \"workloads\": [\"x\"]}\n"
               "{\"id\": \"dup\", \"workloads\": [\"x\"]}\n"),
         sweep::ManifestError);
+    EXPECT_THROW(parse("{\"workloads\": [\"x\"], \"reps\": 1e30}"),
+                 sweep::ManifestError);
+    EXPECT_THROW(parse("{\"workloads\": [\"x\"], \"reps\": 4294967297}"),
+                 sweep::ManifestError);
+    // A job without traffic parses; it fails alone when it runs,
+    // against its final config (see ServingSweep).
+    const std::vector<sweep::JobSpec> empty =
+        parse("{\"workloads\": []}");
+    ASSERT_EQ(empty.size(), 1u);
+    EXPECT_THROW(sweep::SweepEngine::runDeclarative(empty[0]),
+                 sweep::BindError);
 }
 
 TEST(Manifest, GridSpecExpandsCrossProduct)
@@ -382,8 +392,12 @@ TEST(Manifest, GridSpecExpandsCrossProduct)
     // Non-varying clauses still bind.
     EXPECT_EQ(jobs[0].overrides.front().first, "mmu.design");
 
-    EXPECT_THROW(sweep::expandGrid("mmu.design=neummu", SystemConfig{}),
-                 sweep::ManifestError);
+    // No workloads= clause: the job expands and fails when it runs.
+    const std::vector<sweep::JobSpec> bare =
+        sweep::expandGrid("mmu.design=neummu", SystemConfig{});
+    ASSERT_EQ(bare.size(), 1u);
+    EXPECT_THROW(sweep::SweepEngine::runDeclarative(bare[0]),
+                 sweep::BindError);
     EXPECT_THROW(sweep::expandGrid("", SystemConfig{}),
                  sweep::ManifestError);
     // A repeated value would produce two jobs under one id; ids key
@@ -400,6 +414,31 @@ TEST(Manifest, GridSpecExpandsCrossProduct)
                           "stride",
                           SystemConfig{}),
         sweep::ManifestError);
+}
+
+TEST(Manifest, GridJobFieldsParseStrictly)
+{
+    const std::vector<sweep::JobSpec> jobs = sweep::expandGrid(
+        "reps=2;limit=1000|2000;workloads=synthetic:pattern=stride",
+        SystemConfig{});
+    ASSERT_EQ(jobs.size(), 2u);
+    EXPECT_EQ(jobs[0].id, "limit=1000");
+    EXPECT_EQ(jobs[0].reps, 2u);
+    EXPECT_EQ(jobs[0].limit, Tick(1000));
+    EXPECT_EQ(jobs[1].limit, Tick(2000));
+    // Job fields never reach the binder.
+    EXPECT_TRUE(jobs[0].overrides.empty());
+
+    // A bare strtoul wrapped "-1" to 2^32-1 reps and read "2x" as 2.
+    for (const char *bad :
+         {"reps=-1", "reps=2x", "reps=0", "reps=1.5", "limit=abc",
+          "limit=-5", "limit=10cycles"})
+        EXPECT_THROW(sweep::expandGrid(std::string(bad) +
+                                           ";workloads=synthetic:"
+                                           "pattern=stride",
+                                       SystemConfig{}),
+                     sweep::ManifestError)
+            << bad;
 }
 
 // ---------------------------------------------------------------------

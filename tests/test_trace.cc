@@ -12,11 +12,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
+#include <fstream>
 #include <map>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "sweep/sweep_engine.hh"
 #include "system/scheduler.hh"
 #include "system/system.hh"
 #include "trace/trace_engine.hh"
@@ -226,4 +229,58 @@ TEST(TraceBufferRing, BlanketCloseWithoutOpenIsNoOp)
     EXPECT_EQ(buf.close(42, trace::Stage::PrmbMerge, 100), Tick(90));
     EXPECT_EQ(buf.openCount(), 0u);
     EXPECT_EQ(buf.spansRecorded(), 1u);
+}
+
+TEST(TraceSweep, JobWritesItsTraceAndKeepsTheReport)
+{
+    sweep::JobSpec job;
+    job.id = "traced";
+    job.base = tracedServeConfig();
+    job.limit = 400000;
+    job.tracePath = ::testing::TempDir() + "sweep_job.trace.json";
+    std::remove(job.tracePath.c_str());
+    const sweep::JobOutcome out =
+        sweep::SweepEngine::runDeclarative(job);
+    ASSERT_TRUE(out.serve.has_value());
+    ASSERT_TRUE(out.trace.has_value());
+    EXPECT_GT(out.trace->tracedRequests, 0u);
+    EXPECT_GT(out.trace->tracedTranslations, 0u);
+
+    // The file is the trace a direct run of the same config writes.
+    std::ifstream in(job.tracePath, std::ios::binary);
+    std::ostringstream written;
+    written << in.rdbuf();
+    EXPECT_EQ(written.str(), runAndTrace(job.base, job.limit));
+
+    // An untraced job keeps no trace report and writes no file.
+    sweep::JobSpec plain = job;
+    plain.base.trace.enabled = false;
+    plain.tracePath = ::testing::TempDir() + "sweep_plain.trace.json";
+    std::remove(plain.tracePath.c_str());
+    const sweep::JobOutcome plain_out =
+        sweep::SweepEngine::runDeclarative(plain);
+    EXPECT_TRUE(plain_out.serve.has_value());
+    EXPECT_FALSE(plain_out.trace.has_value());
+    EXPECT_FALSE(std::ifstream(plain.tracePath).good());
+}
+
+TEST(TraceSweep, UnwritableTracePathFailsOnlyThatJob)
+{
+    sweep::JobSpec bad;
+    bad.id = "bad";
+    bad.base = tracedServeConfig();
+    bad.limit = 200000;
+    bad.tracePath =
+        ::testing::TempDir() + "no-such-dir/bad.trace.json";
+    sweep::JobSpec good = bad;
+    good.id = "good";
+    good.tracePath = "";
+    const sweep::SweepResults results =
+        sweep::SweepEngine().run({bad, good});
+    ASSERT_EQ(results.jobs.size(), 2u);
+    EXPECT_FALSE(results.jobs[0].ok);
+    EXPECT_NE(results.jobs[0].error.find(bad.tracePath),
+              std::string::npos)
+        << results.jobs[0].error;
+    EXPECT_TRUE(results.jobs[1].ok) << results.jobs[1].error;
 }

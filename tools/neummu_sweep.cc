@@ -1,15 +1,22 @@
 /**
  * @file
  * neummu_sweep: run a manifest of simulation jobs across a worker
- * pool. The batch front door of the simulator -- every job builds its
+ * pool. The one front door of the simulator -- every job builds its
  * own System from a JSONL manifest line (or a grid-spec cross
  * product) via the ConfigBinder + workload factory, runs it to
- * completion, and the merged StatsRegistry dumps land in one
- * schema-versioned JSON plus a flat CSV.
+ * completion or to its cycle limit, and the merged StatsRegistry
+ * dumps land in one schema-versioned JSON plus a flat CSV. Serving
+ * jobs (serve.enabled=1 plus a limit) print their SLO report, and
+ * traced jobs (trace.enabled=1) their per-stage latency
+ * decomposition and, with --trace-dir, a Chrome trace each.
  *
  *   neummu_sweep --manifest=jobs.jsonl -j 4 --json=out.json
  *   neummu_sweep --grid="mmu.design=neummu;mmu.numPtws=8|32|128;\
  *                 workloads=dense:model=CNN1,batch=1" -j 4
+ *   neummu_sweep --grid="numNpus=4;serve.enabled=1;\
+ *                 serve.process=poisson;limit=2000000"
+ *   neummu_sweep --grid="workloads=dense:model=CNN1,layers=4" \
+ *       --set=trace.enabled=1 --trace-dir=traces
  *
  * Options:
  *   --manifest=FILE     JSONL manifest (see src/sweep/manifest.hh)
@@ -23,20 +30,24 @@
  *   --collapsed=FILE    write flamegraph-compatible collapsed stacks
  *                       of the host time merged over every profiled
  *                       job (run with --set=sim.profile=1)
+ *   --trace-dir=DIR     write DIR/<job id>.trace.json (Chrome
+ *                       trace-event JSON, Perfetto-loadable) for every
+ *                       job that ran with trace.enabled=1
  *   --timing=0|1        include wall-clock fields (default 1; 0 makes
  *                       output byte-stable for comparisons)
  *   --serial-baseline=1 run the manifest serially first, verify the
  *                       parallel results match byte-for-byte, and
  *                       record serial wall clock + speedup
  *   --strict=1          exit non-zero when any job failed
- *   --quiet=1           suppress per-job progress lines
+ *   --quiet=1           suppress per-job progress lines and the
+ *                       serving / trace reports
  *   --list-keys         print the ConfigBinder key table and exit
  *   --list-workloads    print the workload factory kinds and exit
  *
  * Exit codes: 0 success; 1 usage/manifest error (fatal); 2 a
- * requested --json/--csv/--collapsed file could not be written
- * (checked before any job runs); 3 job failures under --strict; 4
- * serial/parallel divergence.
+ * requested --json/--csv/--collapsed file or --trace-dir directory
+ * could not be written (checked before any job runs); 3 job failures
+ * under --strict; 4 serial/parallel divergence.
  *
  * Host-time attribution: `--set=sim.profile=1` adds `<sys>.prof.*`
  * (self nanoseconds per subsystem) and `<sys>.fastpath.*` (kernel and
@@ -46,8 +57,12 @@
  *       --set=sim.profile=1 --collapsed=stacks.txt --json=out.json
  */
 
+#include <unistd.h>
+
+#include <array>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -123,6 +138,122 @@ printProgress(unsigned completed, unsigned total,
     std::fflush(stdout);
 }
 
+void
+printServeReport(const std::string &id, Tick cycles,
+                 const serving::ServeReport &rep)
+{
+    std::printf("=== %s: serving report (%llu cycles) ===\n",
+                id.c_str(), (unsigned long long)cycles);
+    std::printf("  arrivals      %llu\n",
+                (unsigned long long)rep.arrivals);
+    std::printf("  completed     %llu\n",
+                (unsigned long long)rep.completed);
+    std::printf("  dropped       %llu\n",
+                (unsigned long long)rep.dropped);
+    std::printf("  unrouted      %llu\n",
+                (unsigned long long)rep.unrouted);
+    std::printf("  tenants       live=%llu admitted=%llu "
+                "retired=%llu\n",
+                (unsigned long long)rep.liveTenants,
+                (unsigned long long)rep.admitted,
+                (unsigned long long)rep.retired);
+    std::printf("  latency       mean=%.1f p50=%llu p90=%llu "
+                "p99=%llu p999=%llu cycles\n",
+                rep.meanLatency, (unsigned long long)rep.p50,
+                (unsigned long long)rep.p90,
+                (unsigned long long)rep.p99,
+                (unsigned long long)rep.p999);
+    std::printf("  slo           target=%llu cycles  violations=%llu"
+                "  goodput=%.4f\n",
+                (unsigned long long)rep.sloLatencyCycles,
+                (unsigned long long)rep.sloViolations, rep.goodput);
+    if (rep.tenants.empty())
+        return;
+    std::printf("  %-8s %-5s %12s %12s %8s %s\n", "tenant", "slot",
+                "completed", "violations", "pending", "state");
+    for (const serving::ServeReport::TenantLine &t : rep.tenants)
+        std::printf("  %-8s %-5u %12llu %12llu %8llu %s\n",
+                    t.name.c_str(), t.slot,
+                    (unsigned long long)t.completed,
+                    (unsigned long long)t.violations,
+                    (unsigned long long)t.pending,
+                    t.draining ? "draining" : "running");
+}
+
+/**
+ * The "where did p99 go" table: one partition of traced latency per
+ * lifecycle level (serving requests, translation requests). Every
+ * tick of every traced request is charged to exactly one stage, so
+ * the "total" row equals the traced end-to-end latency sum. The ring
+ * drops its oldest spans when full; then the table covers only the
+ * newest requests, and its header says so.
+ */
+void
+printDecomposition(const char *title,
+                   const std::array<trace::TraceEngine::StageRow,
+                                    trace::numStages> &rows,
+                   std::uint64_t traced, std::uint64_t charged,
+                   std::uint64_t e2e, std::uint64_t dropped)
+{
+    if (!traced)
+        return;
+    const std::string incomplete =
+        dropped ? ", INCOMPLETE: " + std::to_string(dropped) +
+                      " oldest spans dropped"
+                : "";
+    std::printf("  --- %s latency decomposition (%llu traced%s) ---\n",
+                title, (unsigned long long)traced, incomplete.c_str());
+    std::printf("  %-12s %10s %14s %10s %10s %7s\n", "stage",
+                "requests", "totalTicks", "mean", "p99", "share");
+    for (unsigned s = 0; s < trace::numStages; s++) {
+        const trace::TraceEngine::StageRow &row = rows[s];
+        if (!row.count)
+            continue;
+        std::printf("  %-12s %10llu %14llu %10.1f %10llu %6.2f%%\n",
+                    trace::stageName(trace::Stage(s)),
+                    (unsigned long long)row.count,
+                    (unsigned long long)row.totalTicks,
+                    row.hist.mean(),
+                    (unsigned long long)row.hist.quantile(0.99),
+                    e2e ? 100.0 * double(row.totalTicks) / double(e2e)
+                        : 0.0);
+    }
+    std::printf("  %-12s %10s %14llu  (e2e %llu, %s)\n", "total", "",
+                (unsigned long long)charged, (unsigned long long)e2e,
+                charged == e2e ? "stage sum == e2e" : "MISMATCH");
+}
+
+void
+printTraceReport(const std::string &id,
+                 const trace::TraceEngine::Report &rep)
+{
+    std::printf("=== %s: trace report ===\n", id.c_str());
+    std::printf("  spans         recorded=%llu emitted=%llu "
+                "dropped=%llu openAtDrain=%llu\n",
+                (unsigned long long)rep.spansRecorded,
+                (unsigned long long)rep.spansEmitted,
+                (unsigned long long)rep.dropped,
+                (unsigned long long)rep.openAtDrain);
+    printDecomposition("request", rep.requestStages, rep.tracedRequests,
+                       rep.requestChargedTicks, rep.requestE2eTicks,
+                       rep.dropped);
+    printDecomposition("translation", rep.stages,
+                       rep.tracedTranslations,
+                       rep.translationChargedTicks,
+                       rep.translationE2eTicks, rep.dropped);
+    if (rep.tenants.empty())
+        return;
+    std::printf("  --- per-tenant traced latency (ticks) ---\n");
+    std::printf("  %-8s %10s %10s %10s %10s\n", "tenant", "traced",
+                "e2e p99", "queue p99", "service p99");
+    for (const trace::TraceEngine::TenantRow &t : rep.tenants)
+        std::printf("  t%-7u %10llu %10llu %10llu %10llu\n",
+                    t.tenant, (unsigned long long)t.count,
+                    (unsigned long long)t.e2e.quantile(0.99),
+                    (unsigned long long)t.queue.quantile(0.99),
+                    (unsigned long long)t.service.quantile(0.99));
+}
+
 } // namespace
 
 int
@@ -177,6 +308,15 @@ main(int argc, char **argv)
         !openOutput(csv_path, csv_out) ||
         !openOutput(collapsed_path, collapsed_out))
         return 2;
+    const std::string trace_dir = args.get("trace-dir", "");
+    if (!trace_dir.empty() &&
+        (!std::filesystem::is_directory(trace_dir) ||
+         ::access(trace_dir.c_str(), W_OK) != 0)) {
+        std::fprintf(stderr, "error: cannot write traces to %s (not "
+                             "a writable directory)\n",
+                     trace_dir.c_str());
+        return 2;
+    }
 
     const unsigned threads = unsigned(args.getInt("jobs", 1));
     const bool quiet = args.getBool("quiet", false);
@@ -200,9 +340,12 @@ main(int argc, char **argv)
                 : sweep::loadManifest(manifest_path, base);
 
         const std::int64_t reps_override = args.getInt("reps", 0);
-        if (reps_override > 0)
-            for (sweep::JobSpec &job : jobs)
+        for (sweep::JobSpec &job : jobs) {
+            if (reps_override > 0)
                 job.reps = unsigned(reps_override);
+            if (!trace_dir.empty())
+                job.tracePath = trace_dir + "/" + job.id + ".trace.json";
+        }
 
         sweep::SweepResults serial;
         if (serial_baseline) {
@@ -252,6 +395,45 @@ main(int argc, char **argv)
                             results.summary.serialWallSeconds,
                             results.summary.wallSeconds,
                             results.summary.speedup);
+        }
+
+        // Reports of the finished Systems; a dropped-span warning
+        // goes to stderr even under --quiet, because the
+        // decomposition then covers only the newest requests.
+        unsigned traced_jobs = 0;
+        for (const sweep::JobResult &job : results.jobs) {
+            if (!job.ok)
+                continue;
+            const sweep::JobOutcome &out = job.outcome;
+            if (out.trace)
+                traced_jobs++;
+            if (out.trace && out.trace->dropped)
+                std::fprintf(
+                    stderr,
+                    "warning: job '%s' dropped %llu trace spans; its "
+                    "decomposition covers only the newest %llu "
+                    "translation(s) and %llu request(s) (raise "
+                    "trace.ring)\n",
+                    job.id.c_str(),
+                    (unsigned long long)out.trace->dropped,
+                    (unsigned long long)out.trace->tracedTranslations,
+                    (unsigned long long)out.trace->tracedRequests);
+            if (quiet)
+                continue;
+            if (out.serve)
+                printServeReport(job.id, out.totalCycles, *out.serve);
+            if (out.trace)
+                printTraceReport(job.id, *out.trace);
+        }
+        if (!trace_dir.empty()) {
+            if (traced_jobs == 0)
+                std::fprintf(stderr,
+                             "warning: no job ran with "
+                             "trace.enabled=1; %s holds no traces\n",
+                             trace_dir.c_str());
+            else
+                std::printf("wrote %u Chrome trace(s) to %s\n",
+                            traced_jobs, trace_dir.c_str());
         }
 
         sweep::SinkOptions sink;

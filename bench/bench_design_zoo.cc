@@ -105,7 +105,7 @@ runCell(const std::string &design, const Point &pt)
     System system(cfg);
     Scheduler scheduler(system);
     for (const std::string &spec : pt.workloads)
-        scheduler.add(makeWorkloadFromSpec(spec));
+        scheduler.add(makeWorkloadFromSpecChecked(spec));
     const SchedulerResult result = scheduler.run(pt.limit);
 
     Cell out;

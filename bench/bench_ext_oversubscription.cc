@@ -19,6 +19,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <exception>
 #include <memory>
 #include <vector>
 
@@ -56,7 +57,7 @@ runCell(const std::string &design, unsigned batch, EvictionPolicy policy,
 
     System system(cfg);
     Scheduler scheduler(system);
-    scheduler.add(makeWorkloadFromSpec(
+    scheduler.add(makeWorkloadFromSpecChecked(
                       "embedding:model=dlrm,mode=paging,batch=" +
                       std::to_string(batch)),
                   0);
@@ -78,7 +79,7 @@ runCell(const std::string &design, unsigned batch, EvictionPolicy policy,
 
 int
 main(int argc, char **argv)
-{
+try {
     bench::printHeader(
         "Extension: oversubscribed HBM",
         "Residency-ratio sweep of the demand-paged embedding gather "
@@ -208,4 +209,6 @@ main(int argc, char **argv)
                 "-- and NeuMMU's\nwalker pool keeps the translation "
                 "side of that loop off the critical path.\n");
     return reporter.finish();
+} catch (const std::exception &e) {
+    NEUMMU_FATAL(e.what());
 }

@@ -38,7 +38,7 @@ runShared(const MmuConfig &mmu_cfg, RouterPolicy policy,
     sys_cfg.mmu = mmu_cfg;
     sys_cfg.routerPolicy = policy;
     sys_cfg.sharedMemory = true;
-    sys_cfg.dmaBurstBytes = 1024;
+    sys_cfg.npu.dmaBurstBytes = 1024;
     System sys(sys_cfg);
 
     const Segment seg0 = sys.addressSpace().allocateBacked(

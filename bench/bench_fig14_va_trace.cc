@@ -12,6 +12,7 @@
  */
 
 #include <cstdio>
+#include <exception>
 
 #include "bench_util.hh"
 #include "workloads/tiler.hh"
@@ -35,7 +36,7 @@ recordTrace(bench::Reporter &reporter)
     recorder.attach(system, 0);
 
     Scheduler scheduler(system);
-    scheduler.add(makeWorkloadFromSpec(spec), 0);
+    scheduler.add(makeWorkloadFromSpecChecked(spec), 0);
     const SchedulerResult result = scheduler.run();
 
     if (!recorder.write(path))
@@ -53,7 +54,7 @@ recordTrace(bench::Reporter &reporter)
 
 int
 main(int argc, char **argv)
-{
+try {
     bench::Reporter reporter("fig14", argc, argv);
     if (reporter.args().has("record"))
         return recordTrace(reporter);
@@ -130,4 +131,6 @@ main(int argc, char **argv)
                 "interleave IA with W inside a tile -- the three\n"
                 "observations motivating TPreg (Section IV-C).\n");
     return reporter.finish();
+} catch (const std::exception &e) {
+    NEUMMU_FATAL(e.what());
 }

@@ -36,7 +36,7 @@ demandPage(const EmbeddingModelSpec &spec, unsigned batch,
                            ",mode=paging,batch=" + std::to_string(batch) +
                            ",seed=1";
     const auto &gather = static_cast<const EmbeddingWorkload &>(
-        scheduler.add(makeWorkloadFromSpec(wl), 0));
+        scheduler.add(makeWorkloadFromSpecChecked(wl), 0));
     NEUMMU_ASSERT(scheduler.run().allDone, "gather never completed");
     return gather.pagingResult();
 }

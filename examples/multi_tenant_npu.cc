@@ -16,6 +16,7 @@
  */
 
 #include <cstdio>
+#include <exception>
 #include <memory>
 #include <string>
 #include <vector>
@@ -45,7 +46,7 @@ runList(const std::string &list, const std::string &mmu_arg,
         System **out_system, std::unique_ptr<System> &keep)
 {
     std::vector<std::unique_ptr<Workload>> workloads =
-        makeWorkloadsFromList(list);
+        makeWorkloadsFromListChecked(list);
     keep = std::make_unique<System>(
         machineFor(mmu_arg, unsigned(workloads.size())));
     *out_system = keep.get();
@@ -60,7 +61,7 @@ runList(const std::string &list, const std::string &mmu_arg,
 
 int
 main(int argc, char **argv)
-{
+try {
     ArgParser args(argc, argv);
     const std::string mmu_arg = args.get("mmu", "neummu");
     if (mmu_arg != "neummu" && mmu_arg != "iommu")
@@ -105,7 +106,7 @@ main(int argc, char **argv)
                 machineFor(mmu_arg, unsigned(corun.workloads.size()));
             System alone_sys(cfg);
             Scheduler alone(alone_sys);
-            alone.add(makeWorkloadFromSpec(specs[i]),
+            alone.add(makeWorkloadFromSpecChecked(specs[i]),
                       corun.workloads[i].npu);
             const SchedulerResult solo = alone.run();
             const Tick alone_cyc = solo.workloads[0].finishTick;
@@ -130,4 +131,6 @@ main(int argc, char **argv)
                 "configs -- a new co-run\nscenario is one command "
                 "line, not a new driver.\n");
     return 0;
+} catch (const std::exception &e) {
+    NEUMMU_FATAL(e.what());
 }

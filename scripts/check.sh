@@ -200,6 +200,61 @@ for out_flag in --json --csv --collapsed --trace-dir; do
   fi
 done
 
+# Bad input fails its job, never the sweep: one good job next to one
+# bad job per kind of input that used to end the process. Plain, the
+# sweep exits 0; under --strict=1 it exits 3; either way the merged
+# JSON is written and carries every failure's message.
+BAD_JSON="$BUILD_DIR/BENCH_bad_input.json"
+for strict in 0 1; do
+  rm -f "$BAD_JSON"
+  set +e
+  "$BUILD_DIR/neummu_sweep" --manifest=scripts/bad_input.jsonl \
+      --strict="$strict" --quiet=1 --json="$BAD_JSON" > /dev/null 2>&1
+  rc=$?
+  set -e
+  want=$(( strict ? 3 : 0 ))
+  if [[ "$rc" -ne "$want" ]]; then
+    echo "error: bad-input sweep (--strict=$strict) exited $rc," \
+         "expected $want" >&2
+    exit 1
+  fi
+  if [[ ! -s "$BAD_JSON" ]]; then
+    echo "error: bad-input sweep wrote no merged JSON" >&2
+    exit 1
+  fi
+done
+if ! grep -q '"failures": 9' "$BAD_JSON"; then
+  echo "error: bad-input sweep did not fail exactly its 9 bad jobs" >&2
+  exit 1
+fi
+for msg in 'unknown workload kind' 'unknown synthetic pattern' \
+           'synthetic hot=' 'synthetic phot=' 'cannot load trace' \
+           'unknown eviction policy' 'out of physical memory' \
+           'paging node exhausted' 'memory.interleaveBytes must be'; do
+  if ! grep -q "$msg" "$BAD_JSON"; then
+    echo "error: bad-input sweep JSON lost the '$msg' failure" >&2
+    exit 1
+  fi
+done
+echo "bad-input gate: every bad job failed alone ($BAD_JSON)"
+
+# --jobs and --reps take the manifest's unsigned rule: junk is a usage
+# error (exit 1) before any job runs, never a wrapped thread count.
+for bad_arg in --jobs=-2 --reps=2x "-j abc" --jobs=1.5; do
+  set +e
+  # shellcheck disable=SC2086  # "-j abc" is two arguments
+  out="$("$BUILD_DIR/neummu_sweep" \
+      --grid="workloads=dense:model=CNN1,batch=1,layers=1" \
+      $bad_arg 2> /dev/null)"
+  rc=$?
+  set -e
+  if [[ "$rc" -ne 1 ]] || grep -q 'sweep complete' <<< "$out"; then
+    echo "error: neummu_sweep $bad_arg exited $rc or ran the sweep;" \
+         "expected a usage error (exit 1)" >&2
+    exit 1
+  fi
+done
+
 # Parallel golden matrix, CLI path: the 16-config matrix must merge
 # byte-identically whether run on 1 thread or N. (test_golden_stats
 # pins the same property in-process, plus each dump against its

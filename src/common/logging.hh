@@ -1,7 +1,12 @@
 /**
  * @file
- * gem5-style status/error reporting: panic() for simulator bugs,
- * fatal() for user errors, warn()/inform() for status messages.
+ * Status and error reporting. Bad input (a config value, a workload
+ * spec, a trace file, a machine too small for its job) throws a typed
+ * error -- ConfigError below, WorkloadError or the sweep's BindError /
+ * ManifestError -- so a sweep fails that one job and keeps going.
+ * NEUMMU_ASSERT/NEUMMU_PANIC abort on simulator bugs only; the
+ * exit(1) macro belongs in main()-level code alone.
+ * warn()/inform() print status messages.
  */
 
 #ifndef NEUMMU_COMMON_LOGGING_HH
@@ -9,9 +14,22 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <stdexcept>
 #include <string>
 
 namespace neummu {
+
+/**
+ * A configuration value the simulator cannot run with (zero walkers,
+ * an empty memory node, an unsupported page size) or a machine that
+ * runs out of a resource mid-run. Thrown by every layer below the
+ * workloads; the message names the offending key or parameter.
+ */
+class ConfigError : public std::runtime_error
+{
+  public:
+    using std::runtime_error::runtime_error;
+};
 
 /** Verbosity levels for inform(). */
 enum class LogLevel { Quiet = 0, Normal = 1, Verbose = 2 };
@@ -35,7 +53,8 @@ void message(const char *prefix, const std::string &msg);
                                       true)
 
 /**
- * Report an unrecoverable user/configuration error and exit(1).
+ * Report an unrecoverable command-line error and exit(1). For main()
+ * of a CLI only; library code throws ConfigError instead.
  */
 #define NEUMMU_FATAL(msg)                                                     \
     ::neummu::detail::exitWithMessage("fatal", (msg), __FILE__, __LINE__,     \

@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cctype>
 #include <string>
+#include <vector>
 
 namespace neummu {
 
@@ -21,6 +22,19 @@ lowered(const std::string &s)
     std::string out = s;
     std::transform(out.begin(), out.end(), out.begin(),
                    [](unsigned char c) { return char(std::tolower(c)); });
+    return out;
+}
+
+/** @p items joined by @p sep ("a|b|c"). */
+inline std::string
+joined(const std::vector<std::string> &items, const char *sep)
+{
+    std::string out;
+    for (const std::string &item : items) {
+        if (!out.empty())
+            out += sep;
+        out += item;
+    }
     return out;
 }
 

@@ -26,7 +26,8 @@ Link::Link(std::string name, LinkConfig cfg)
       _sTransfers(_stats.scalar("transfers")),
       _sAccesses(_stats.scalar("accesses"))
 {
-    NEUMMU_ASSERT(cfg.bytesPerCycle > 0.0, "link bandwidth must be > 0");
+    if (!(cfg.bytesPerCycle > 0.0))
+        throw ConfigError(_stats.name() + ": link bytesPerCycle must be > 0");
 }
 
 Tick

@@ -13,8 +13,14 @@ MemoryModel::MemoryModel(std::string name, MemoryConfig cfg)
       _sBytesRead(_stats.scalar("bytesRead")),
       _sBytesWritten(_stats.scalar("bytesWritten"))
 {
-    NEUMMU_ASSERT(cfg.channels > 0, "memory needs at least one channel");
-    NEUMMU_ASSERT(cfg.bytesPerCycle > 0.0, "memory bandwidth must be > 0");
+    if (cfg.channels == 0)
+        throw ConfigError(_stats.name() + ": memory.channels must be >= 1");
+    if (!(cfg.bytesPerCycle > 0.0))
+        throw ConfigError(_stats.name() +
+                          ": memory.bytesPerCycle must be > 0");
+    if (cfg.interleaveBytes == 0)
+        throw ConfigError(_stats.name() +
+                          ": memory.interleaveBytes must be > 0");
     _bytesPerCyclePerChannel = cfg.bytesPerCycle / double(cfg.channels);
     _channelFree.assign(cfg.channels, 0.0);
 }

@@ -93,8 +93,9 @@ TimedMmuEngine::resolve(Addr va, Tick now, Tick &ready)
     ready = now;
     WalkResult walk = _pt.walk(va);
     if (!walk.valid) {
-        NEUMMU_ASSERT(_fault, "unmapped page at " + std::to_string(va) +
-                                  " with no fault handler");
+        if (!_fault)
+            throw ConfigError("unmapped page at VA " + std::to_string(va) +
+                              " and no fault handler (paging.enabled=0)");
         _counts.faults++;
         ready = _fault(va, now);
         walk = _pt.walk(va);

@@ -10,7 +10,8 @@ TranslationPathCache::TranslationPathCache(std::size_t entries,
                                            MmuCacheReplacement repl)
     : _entries(entries), _repl(repl)
 {
-    NEUMMU_ASSERT(entries > 0, "TPC needs at least one entry");
+    if (entries == 0)
+        throw ConfigError("mmu.sharedCacheEntries must be >= 1 for a TPC");
 }
 
 std::uint64_t
@@ -114,7 +115,9 @@ UnifiedPageTableCache::UnifiedPageTableCache(std::size_t entries,
                                              MmuCacheReplacement repl)
     : _entries(entries), _repl(repl)
 {
-    NEUMMU_ASSERT(entries > 0, "UPTC needs at least one entry");
+    if (entries == 0)
+        throw ConfigError("mmu.sharedCacheEntries must be >= 1 for a "
+                          "UPTC");
 }
 
 bool

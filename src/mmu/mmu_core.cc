@@ -78,8 +78,9 @@ MmuCore::MmuCore(std::string name, EventQueue &eq, PageTable &pt,
       // steady-state merging and draining never allocate.
       _respArena(cfg.prmbSlots + 1), _stats(_name)
 {
-    NEUMMU_ASSERT(cfg.numPtws > 0 || cfg.oracle,
-                  "an MMU needs at least one walker");
+    if (cfg.numPtws == 0 && !cfg.oracle)
+        throw ConfigError(_name + ": mmu.numPtws must be >= 1 (an MMU "
+                          "needs at least one walker)");
     _walkers.resize(cfg.numPtws);
     for (unsigned i = 0; i < cfg.numPtws; i++)
         _freeWalkers.push_back(cfg.numPtws - 1 - i);
@@ -247,9 +248,11 @@ MmuCore::translate(Addr va, std::uint64_t id)
         WalkResult walk = _pt.walk(va);
         Tick ready = now;
         if (!walk.valid) {
-            NEUMMU_ASSERT(_fault,
-                          "oracle hit an unmapped page with no fault "
-                          "handler: workload setup bug");
+            if (!_fault)
+                throw ConfigError("unmapped page at VA " +
+                                  std::to_string(va) +
+                                  " and no fault handler "
+                                  "(paging.enabled=0)");
             _counts.faults++;
             ready = _fault(va, now);
             walk = _pt.walk(va);
@@ -374,8 +377,9 @@ MmuCore::launchWalk(unsigned walker_idx, Addr va, bool initial)
     WalkResult walk = _pt.walk(va);
     Tick ready = now;
     if (!walk.valid) {
-        NEUMMU_ASSERT(_fault, "unmapped page at " + std::to_string(va) +
-                                  " with no fault handler");
+        if (!_fault)
+            throw ConfigError("unmapped page at VA " + std::to_string(va) +
+                              " and no fault handler (paging.enabled=0)");
         _counts.faults++;
         ready = _fault(va, now);
         walk = _pt.walk(va);

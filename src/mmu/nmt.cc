@@ -11,9 +11,10 @@ Nmt::Nmt(std::string name, EventQueue &eq, PageTable &pt,
          unsigned page_shift, NmtConfig cfg)
     : TimedMmuEngine(std::move(name), eq, pt, page_shift), _cfg(cfg)
 {
-    NEUMMU_ASSERT(_cfg.cacheEntries >= 1,
-                  "segment cache needs an entry");
-    NEUMMU_ASSERT(_cfg.numUnits >= 1, "NMT needs a fetch unit");
+    if (_cfg.cacheEntries < 1)
+        throw ConfigError("mmu.nmt.cacheEntries must be >= 1");
+    if (_cfg.numUnits < 1)
+        throw ConfigError("mmu.nmt.units must be >= 1");
 }
 
 bool

@@ -26,11 +26,13 @@ PomTlb::PomTlb(std::string name, EventQueue &eq, PageTable &pt,
           1, cfg.ways ? cfg.entries / cfg.ways : 1)),
       _pom(_numSets * std::max<std::size_t>(1, cfg.ways))
 {
-    NEUMMU_ASSERT(_cfg.ways >= 1, "POM level needs at least one way");
-    NEUMMU_ASSERT(_cfg.entries >= _cfg.ways,
-                  "POM level smaller than one set");
-    NEUMMU_ASSERT(_cfg.numWalkers >= 1,
-                  "POM-TLB needs a miss register");
+    if (_cfg.ways < 1)
+        throw ConfigError("mmu.pom.ways must be >= 1");
+    if (_cfg.entries < _cfg.ways)
+        throw ConfigError("mmu.pom.entries must be >= mmu.pom.ways "
+                          "(one set)");
+    if (_cfg.numWalkers < 1)
+        throw ConfigError("mmu.pom.walkers must be >= 1");
 }
 
 Addr

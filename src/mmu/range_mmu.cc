@@ -11,10 +11,12 @@ RangeMmu::RangeMmu(std::string name, EventQueue &eq, PageTable &pt,
                    unsigned page_shift, RangeMmuConfig cfg)
     : TimedMmuEngine(std::move(name), eq, pt, page_shift), _cfg(cfg)
 {
-    NEUMMU_ASSERT(_cfg.entries >= 1, "range TLB needs an entry");
-    NEUMMU_ASSERT(_cfg.numWalkers >= 1, "RangeMMU needs a walker");
-    NEUMMU_ASSERT(_cfg.maxRangePages >= 1,
-                  "ranges must cover at least one page");
+    if (_cfg.entries < 1)
+        throw ConfigError("mmu.range.entries must be >= 1");
+    if (_cfg.numWalkers < 1)
+        throw ConfigError("mmu.range.walkers must be >= 1");
+    if (_cfg.maxRangePages < 1)
+        throw ConfigError("mmu.range.maxPages must be >= 1");
     _ranges.reserve(_cfg.entries + 1);
 }
 

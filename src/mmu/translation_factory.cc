@@ -16,8 +16,11 @@ buildMmuCore(std::string name, EventQueue &eq, PageTable &pt,
              const SystemConfig &cfg)
 {
     const MmuConfig mmu_cfg = cfg.resolvedMmuConfig();
-    NEUMMU_ASSERT(mmu_cfg.pageShift == cfg.pageShift,
-                  "MMU page size and system page size must agree");
+    if (mmu_cfg.pageShift != cfg.pageShift)
+        throw ConfigError("MMU page size (shift " +
+                          std::to_string(mmu_cfg.pageShift) +
+                          ") and system pageShift " +
+                          std::to_string(cfg.pageShift) + " must agree");
     return std::make_unique<MmuCore>(std::move(name), eq, pt, mmu_cfg);
 }
 

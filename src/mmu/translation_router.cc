@@ -84,7 +84,9 @@ TranslationRouter::TranslationRouter(TranslationEngine &engine,
     : _engine(engine), _policy(policy), _name(std::move(name))
 {
     NEUMMU_ASSERT(num_clients > 0, "router needs at least one client");
-    NEUMMU_ASSERT(num_clients < 256, "client tag is one byte");
+    if (num_clients >= 256)
+        throw ConfigError("numNpus must be < 256 to share one MMU (the "
+                          "router's client tag is one byte)");
     _perClientCap =
         walker_budget >= num_clients ? walker_budget / num_clients : 1;
     for (unsigned c = 0; c < num_clients; c++) {

@@ -16,7 +16,8 @@ DmaEngine::DmaEngine(std::string name, EventQueue &eq,
       _sTranslationsIssued(_stats.scalar("translationsIssued")),
       _sStallCycles(_stats.scalar("stallCycles"))
 {
-    NEUMMU_ASSERT(cfg.burstBytes > 0, "zero DMA burst size");
+    if (cfg.burstBytes == 0)
+        throw ConfigError(_name + ": npu.dmaBurstBytes must be > 0");
     _mmu.setResponseCallback(
         [this](const TranslationResponse &resp) { onTranslation(resp); });
     _mmu.setWakeCallback([this] { onWake(); });

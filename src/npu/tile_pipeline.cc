@@ -8,7 +8,8 @@ TilePipeline::TilePipeline(EventQueue &eq, DmaEngine &dma,
                            unsigned buffer_depth)
     : _eq(eq), _dma(dma), _bufferDepth(buffer_depth)
 {
-    NEUMMU_ASSERT(buffer_depth >= 1, "need at least one tile buffer");
+    if (buffer_depth < 1)
+        throw ConfigError("bufferDepth must be >= 1 (one tile buffer)");
 }
 
 PipelineResult

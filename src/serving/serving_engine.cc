@@ -55,13 +55,12 @@ ServingEngine::ServingEngine(System &system, const ServeConfig &cfg)
           deriveSeed(system.config().seed, hashString("serve.pick"))),
       _stats(servingStatsName(system))
 {
-    NEUMMU_ASSERT(_cfg.tenants >= 1, "serve.tenants must be >= 1");
-    NEUMMU_ASSERT(_cfg.windowCycles >= 1,
-                  "serve.window must be >= 1 cycle");
-    if (_cfg.demandPaged) {
-        NEUMMU_ASSERT(_sys.hasPagingEngine(),
-                      "serve.demandPaged needs paging.enabled");
-    }
+    if (_cfg.tenants < 1)
+        throw ConfigError("serve.tenants must be >= 1");
+    if (_cfg.windowCycles < 1)
+        throw ConfigError("serve.window must be >= 1 cycle");
+    if (_cfg.demandPaged && !_sys.hasPagingEngine())
+        throw ConfigError("serve.demandPaged=1 needs paging.enabled=1");
     _queues.resize(_slots.size());
 }
 

@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <limits>
 
+#include "common/logging.hh"
 #include "common/text.hh"
 #include "mmu/translation_factory.hh"
 #include "serving/arrival.hh"
@@ -104,30 +105,13 @@ parseCacheKind(const std::string &key, const std::string &value)
     badValue(key, value, "none|tpreg|tpc|uptc");
 }
 
-EvictionPolicy
-parseEviction(const std::string &key, const std::string &value)
-{
-    const std::string v = lowered(value);
-    if (v == "clock")
-        return EvictionPolicy::Clock;
-    if (v == "lru")
-        return EvictionPolicy::Lru;
-    badValue(key, value, "clock|lru");
-}
-
 serving::ArrivalKind
 parseArrivalKind(const std::string &key, const std::string &value)
 {
     serving::ArrivalKind kind;
     if (serving::arrivalKindFromName(lowered(value), kind))
         return kind;
-    std::string expect;
-    for (const std::string &name : serving::arrivalKindNames()) {
-        if (!expect.empty())
-            expect += "|";
-        expect += name;
-    }
-    badValue(key, value, expect);
+    badValue(key, value, joined(serving::arrivalKindNames(), "|"));
 }
 
 /**
@@ -200,7 +184,7 @@ applyPreset(SystemConfig &cfg, const std::string &value)
     preset.seed = cfg.seed;
     preset.mmuDesign = cfg.mmuDesign;
     preset.pageShift = cfg.pageShift;
-    preset.dmaBurstBytes = std::max<std::uint64_t>(
+    preset.npu.dmaBurstBytes = std::max<std::uint64_t>(
         preset.npu.dmaBurstBytes, spec.tables.front().rowBytes());
     // sim.* and trace.* describe how to OBSERVE the simulation, not
     // the machine; a preset replaces the machine but keeps them (so
@@ -269,8 +253,6 @@ applyOverride(SystemConfig &cfg, const std::string &key,
         cfg.numNpus = parseU32(key, value);
     } else if (key == "bufferDepth") {
         cfg.bufferDepth = parseU32(key, value);
-    } else if (key == "dmaBurstBytes") {
-        cfg.dmaBurstBytes = parseU64(key, value);
     } else if (key == "mmu.design") {
         setDesign(cfg, key, value);
     } else if (key == "routerPolicy") {
@@ -390,7 +372,12 @@ applyOverride(SystemConfig &cfg, const std::string &key,
     } else if (key == "paging.enabled") {
         cfg.paging.enabled = parseBool(key, value);
     } else if (key == "paging.policy") {
-        cfg.paging.policy = parseEviction(key, value);
+        try {
+            cfg.paging.policy = evictionPolicyFromName(value);
+        } catch (const ConfigError &e) {
+            throw BindError("bad value for sweep config key " + key +
+                            ": " + e.what());
+        }
     } else if (key == "paging.residentLimitBytes") {
         cfg.paging.residentLimitBytes = parseU64(key, value);
     } else if (key == "paging.residentLimitPages") {
@@ -492,7 +479,6 @@ binderKeyTable()
         {"seed", "root random seed (per-workload streams derive)"},
         {"numNpus", "NPU count; >1 shares the MMU via the router"},
         {"bufferDepth", "tile-buffer depth (2 = double buffering)"},
-        {"dmaBurstBytes", "system-level DMA burst override (0 = npu)"},
         {"routerPolicy", "shared|partitioned walker arbitration"},
         {"sharedMemory", "0|1: all NPUs contend for one memory node"},
         {"hostDramBytes", "host DRAM capacity (K/M/G ok)"},

@@ -40,21 +40,6 @@ coercedUint(const JsonValue &v, const std::string &what)
     return std::uint64_t(d);
 }
 
-/** A grid clause value read with the manifest's unsigned rule, so
- *  "-1" and "2x" are errors instead of wrapping or truncating. */
-std::uint64_t
-gridUint(const std::string &value, const std::string &what)
-{
-    JsonValue parsed;
-    try {
-        parsed = parseJson(value);
-    } catch (const JsonError &) {
-        throw ManifestError(what + ": '" + value +
-                            "' is not a non-negative integer");
-    }
-    return coercedUint(parsed, what);
-}
-
 unsigned
 checkedReps(std::uint64_t reps, const std::string &what)
 {
@@ -119,6 +104,19 @@ jobFromLine(const JsonValue &line, const std::string &what,
 }
 
 } // namespace
+
+std::uint64_t
+parseUint(const std::string &value, const std::string &what)
+{
+    JsonValue parsed;
+    try {
+        parsed = parseJson(value);
+    } catch (const JsonError &) {
+        throw ManifestError(what + ": '" + value +
+                            "' is not a non-negative integer");
+    }
+    return coercedUint(parsed, what);
+}
 
 std::vector<JobSpec>
 parseManifest(std::istream &in, const std::string &what,
@@ -240,9 +238,9 @@ expandGrid(const std::string &spec, const SystemConfig &base)
                 }
             } else if (clause.key == "reps") {
                 job.reps =
-                    checkedReps(gridUint(value, "grid reps"), "grid");
+                    checkedReps(parseUint(value, "grid reps"), "grid");
             } else if (clause.key == "limit") {
-                job.limit = Tick(gridUint(value, "grid limit"));
+                job.limit = Tick(parseUint(value, "grid limit"));
             } else {
                 job.overrides.emplace_back(clause.key, value);
             }

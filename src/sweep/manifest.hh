@@ -39,6 +39,7 @@
 #ifndef NEUMMU_SWEEP_MANIFEST_HH
 #define NEUMMU_SWEEP_MANIFEST_HH
 
+#include <cstdint>
 #include <iosfwd>
 #include <stdexcept>
 #include <string>
@@ -55,6 +56,13 @@ class ManifestError : public std::runtime_error
   public:
     using std::runtime_error::runtime_error;
 };
+
+/**
+ * An unsigned value written as text (a grid clause, a CLI option) read
+ * with the manifest's rule: "-1", "2x" and "1.5" throw ManifestError
+ * naming @p what, instead of wrapping or truncating.
+ */
+std::uint64_t parseUint(const std::string &value, const std::string &what);
 
 /**
  * Parse a JSONL manifest from @p in (@p what names it in errors).

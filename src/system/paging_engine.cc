@@ -34,8 +34,11 @@ PagingEngine::PagingEngine(System &system, const PagingConfig &cfg)
                                          node_bytes)
                               : node_bytes;
     _maxResidentPages = limit / _pageBytes;
-    NEUMMU_ASSERT(_maxResidentPages >= 2,
-                  "residency cap below two pages cannot make progress");
+    if (_maxResidentPages < 2)
+        throw ConfigError("paging.residentLimitBytes allows " +
+                          std::to_string(_maxResidentPages) +
+                          " page(s); a residency cap below two pages "
+                          "cannot make progress");
 
     MmuEngine &mmu = _sys.mmu();
     mmu.enableLifecycle();
@@ -105,9 +108,9 @@ PagingEngine::acquireFrame(bool timed, Tick &when)
             _overcommits++;
             return frame;
         }
-        NEUMMU_FATAL(
+        throw ConfigError(
             "paging node exhausted with every resident page pinned "
-            "by in-flight translations; the node is too small for "
+            "by in-flight translations; npuHbmBytes is too small for "
             "the machine's translation window");
     }
 }

@@ -15,12 +15,14 @@ Workload &
 Scheduler::add(std::unique_ptr<Workload> workload, unsigned npu)
 {
     NEUMMU_ASSERT(workload != nullptr, "null workload");
-    NEUMMU_ASSERT(npu < _system.numNpus(),
-                  "NPU slot " + std::to_string(npu) +
-                      " out of range for a " +
-                      std::to_string(_system.numNpus()) + "-NPU system");
-    NEUMMU_ASSERT(!_slotUsed[npu], "NPU slot " + std::to_string(npu) +
-                                       " already has a workload");
+    if (npu >= _system.numNpus())
+        throw ConfigError("NPU slot " + std::to_string(npu) +
+                          " out of range for a " +
+                          std::to_string(_system.numNpus()) +
+                          "-NPU system (numNpus)");
+    if (_slotUsed[npu])
+        throw ConfigError("NPU slot " + std::to_string(npu) +
+                          " already has a workload");
     _slotUsed[npu] = true;
 
     Entry entry;
@@ -38,8 +40,8 @@ Scheduler::add(std::unique_ptr<Workload> workload)
         if (!_slotUsed[npu])
             return add(std::move(workload), npu);
     }
-    NEUMMU_FATAL("no free NPU slot for workload '" +
-                 workload->name() + "'");
+    throw ConfigError("no free NPU slot for workload '" +
+                      workload->name() + "' (raise numNpus)");
 }
 
 Workload &

@@ -57,10 +57,12 @@ class Scheduler
   public:
     explicit Scheduler(System &system);
 
-    /** Place @p workload on NPU slot @p npu. One workload per slot. */
+    /** Place @p workload on NPU slot @p npu. One workload per slot;
+     *  an out-of-range or taken slot throws ConfigError. */
     Workload &add(std::unique_ptr<Workload> workload, unsigned npu);
 
-    /** Place @p workload on the next unoccupied NPU slot. */
+    /** Place @p workload on the next unoccupied NPU slot; throws
+     *  ConfigError when every slot is taken. */
     Workload &add(std::unique_ptr<Workload> workload);
 
     std::size_t numWorkloads() const { return _entries.size(); }

@@ -31,13 +31,14 @@ SystemConfig::resolvedMmuConfig() const
 }
 
 System::System(SystemConfig cfg)
-    : _cfg(std::move(cfg)),
-      _hostNode(prefixed(_cfg.name, "host.dram"), Addr(1) << 40,
-                _cfg.hostDramBytes),
+    : _hostNode(prefixed(cfg.name, "host.dram"), Addr(1) << 40,
+                cfg.hostDramBytes),
       _pageTable(_hostNode),
-      _vas(_pageTable, _cfg.vaBase, _cfg.vaScatterShift)
+      _vas(_pageTable, cfg.vaBase, cfg.vaScatterShift),
+      _cfg(std::move(cfg))
 {
-    NEUMMU_ASSERT(_cfg.numNpus >= 1, "a system needs at least one NPU");
+    if (_cfg.numNpus < 1)
+        throw ConfigError("numNpus must be >= 1");
 
     // The translation engine is whatever design the factory builds
     // for cfg.mmuDesign; everything downstream (router, paging,
@@ -56,8 +57,7 @@ System::System(SystemConfig cfg)
     }
 
     DmaConfig dma_cfg;
-    dma_cfg.burstBytes =
-        _cfg.dmaBurstBytes ? _cfg.dmaBurstBytes : _cfg.npu.dmaBurstBytes;
+    dma_cfg.burstBytes = _cfg.npu.dmaBurstBytes;
     dma_cfg.pageShift = _cfg.pageShift;
     // Pre-size each DMA's outstanding-burst tracker so it never
     // rehashes in steady state (a growing tracker still works, it
@@ -127,8 +127,11 @@ System::System(SystemConfig cfg)
     // The paging engine comes last: it needs the memory nodes built,
     // and it installs itself as the MMU's fault handler.
     if (_cfg.paging.enabled) {
-        NEUMMU_ASSERT(_cfg.paging.homeNode < _cfg.numNpus,
-                      "paging home node out of range");
+        if (_cfg.paging.homeNode >= _cfg.numNpus)
+            throw ConfigError("paging.homeNode " +
+                              std::to_string(_cfg.paging.homeNode) +
+                              " out of range for numNpus " +
+                              std::to_string(_cfg.numNpus));
         _paging = std::make_unique<PagingEngine>(*this, _cfg.paging);
         _stats.add(_paging->stats());
         _stats.add(_paging->linkStats());
@@ -151,8 +154,9 @@ System::System(SystemConfig cfg)
     if (_cfg.trace.enabled) {
         // Key-space top bytes 0xFD..0xFF are reserved for prefetch /
         // paging / serving span families (see trace/trace.hh).
-        NEUMMU_ASSERT(_cfg.numNpus < 0xFD,
-                      "tracing supports at most 252 NPUs");
+        if (_cfg.numNpus >= 0xFD)
+            throw ConfigError("trace.enabled supports at most 252 NPUs "
+                              "(numNpus)");
         _trace = std::make_unique<trace::TraceEngine>(
             _cfg.name, _cfg.trace,
             _stats.group(prefixed(_cfg.name, "trace")));

@@ -98,8 +98,6 @@ struct SystemConfig
     NpuConfig npu{};
     /** Tile-buffer depth (2 = double buffering, Fig. 3). */
     unsigned bufferDepth = 2;
-    /** DMA burst override in bytes; 0 uses npu.dmaBurstBytes. */
-    std::uint64_t dmaBurstBytes = 0;
 
     // --- Translation -----------------------------------------------
     /**
@@ -322,7 +320,9 @@ class System
     /** Populate prof.* / fastpath.* groups (sim.profile only). */
     void refreshProfileStats();
 
-    SystemConfig _cfg;
+    // The hot members come first and the cold config last, so their
+    // placement (and the run time, which is sensitive to it) does not
+    // shift whenever SystemConfig gains or loses a field.
     EventQueue _eq;
     FrameAllocator _hostNode;
     PageTable _pageTable;
@@ -336,6 +336,7 @@ class System
     std::unique_ptr<MemoryModel> _sharedMem;
     std::vector<Npu> _npus;
     stats::StatsRegistry _stats;
+    SystemConfig _cfg;
 };
 
 } // namespace neummu

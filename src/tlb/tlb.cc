@@ -9,10 +9,14 @@ Tlb::Tlb(std::string name, TlbConfig cfg)
       _sHits(_stats.scalar("hits")), _sMisses(_stats.scalar("misses")),
       _sEvictions(_stats.scalar("evictions"))
 {
-    NEUMMU_ASSERT(cfg.entries > 0, "TLB needs at least one entry");
+    if (cfg.entries == 0)
+        throw ConfigError(_stats.name() + ": TLB entries must be >= 1");
     _waysPerSet = (cfg.ways == 0) ? cfg.entries : cfg.ways;
-    NEUMMU_ASSERT(cfg.entries % _waysPerSet == 0,
-                  "TLB entries must divide evenly into sets");
+    if (cfg.entries % _waysPerSet != 0)
+        throw ConfigError(_stats.name() + ": TLB entries (" +
+                          std::to_string(cfg.entries) +
+                          ") must divide evenly into ways (" +
+                          std::to_string(cfg.ways) + ")");
     _numSets = cfg.entries / _waysPerSet;
     _slots.resize(cfg.entries);
     _sets.resize(_numSets);

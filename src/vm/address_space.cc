@@ -9,12 +9,15 @@ AddressSpace::AddressSpace(PageTable &page_table, Addr base,
     : _pageTable(page_table), _cursor(base),
       _scatterShift(scatter_shift)
 {
-    NEUMMU_ASSERT((base & pageOffsetMask(largePageShift)) == 0,
-                  "address space base must be 2 MB aligned");
-    NEUMMU_ASSERT(scatter_shift == 0 ||
-                      (scatter_shift >= largePageShift &&
-                       scatter_shift < vaBits),
-                  "scatter shift out of range");
+    if ((base & pageOffsetMask(largePageShift)) != 0)
+        throw ConfigError("vaBase must be 2 MB aligned");
+    if (scatter_shift != 0 &&
+        (scatter_shift < largePageShift || scatter_shift >= vaBits))
+        throw ConfigError("vaScatterShift " +
+                          std::to_string(scatter_shift) +
+                          " out of range (0, or " +
+                          std::to_string(largePageShift) + ".." +
+                          std::to_string(vaBits - 1) + ")");
 }
 
 Segment
@@ -25,8 +28,9 @@ AddressSpace::allocateUnbacked(const std::string &name, std::uint64_t bytes,
     if (_scatterShift != 0) {
         const Addr granule = Addr(1) << _scatterShift;
         _cursor = (_cursor + granule - 1) & ~(granule - 1);
-        NEUMMU_ASSERT(_cursor < (Addr(1) << vaBits),
-                      "scattered VA layout ran out of address space");
+        if (_cursor >= (Addr(1) << vaBits))
+            throw ConfigError("scattered VA layout ran out of address "
+                              "space (lower vaScatterShift)");
     }
     Segment seg;
     seg.name = name;

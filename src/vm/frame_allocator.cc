@@ -11,9 +11,12 @@ FrameAllocator::FrameAllocator(std::string name, Addr base,
                                std::uint64_t size)
     : _name(std::move(name)), _base(base), _size(size), _next(base)
 {
-    NEUMMU_ASSERT(size > 0, "empty physical node");
-    NEUMMU_ASSERT(base <= std::numeric_limits<Addr>::max() - size,
-                  "physical range wraps the address space");
+    if (size == 0)
+        throw ConfigError(_name + ": empty physical node (hostDramBytes "
+                          "and npuHbmBytes must be > 0)");
+    if (base > std::numeric_limits<Addr>::max() - size)
+        throw ConfigError(_name + ": physical range wraps the address "
+                          "space");
 }
 
 bool
@@ -94,10 +97,10 @@ FrameAllocator::allocate(std::uint64_t bytes, std::uint64_t align)
 {
     Addr out;
     if (!tryAllocate(bytes, align, out)) {
-        NEUMMU_FATAL(_name + ": out of physical memory (requested " +
-                     std::to_string(bytes) + " bytes, " +
-                     std::to_string(remaining()) + " remaining); an "
-                     "MMU-less NPU would crash here (Section I)");
+        throw ConfigError(_name + ": out of physical memory (requested " +
+                          std::to_string(bytes) + " bytes, " +
+                          std::to_string(remaining()) + " remaining); "
+                          "an MMU-less NPU would crash here (Section I)");
     }
     return out;
 }

@@ -23,16 +23,17 @@ namespace neummu {
  * Alignment gaps also land on the free list, so no byte of the node
  * is ever leaked.
  *
- * The fatal allocate() path still models the "working set must fit"
- * crash of physically addressed NPUs (Section I); the demand-paging /
- * eviction machinery uses tryAllocate() and evicts on failure
- * instead.
+ * allocate() still models the "working set must fit" crash of
+ * physically addressed NPUs (Section I), as a ConfigError that fails
+ * the job; the demand-paging / eviction machinery uses tryAllocate()
+ * and evicts on failure instead.
  */
 class FrameAllocator
 {
   public:
     /**
      * @param name Node name for error messages (e.g., "npu0.hbm").
+     * Throws ConfigError for an empty or address-wrapping range.
      * @param base First physical address owned by this node.
      * @param size Bytes of physical memory at this node.
      */
@@ -40,13 +41,13 @@ class FrameAllocator
 
     /**
      * Allocate @p bytes aligned to @p align (power of two).
-     * Calls fatal() if the node is out of physical memory, mirroring
-     * the runtime crash an MMU-less NPU hits on oversubscription.
+     * Throws ConfigError if the node is out of physical memory,
+     * mirroring the crash an MMU-less NPU hits on oversubscription.
      */
     Addr allocate(std::uint64_t bytes, std::uint64_t align);
 
     /**
-     * Non-fatal allocation: try the free list first (first fit, with
+     * Failure-tolerant allocation: try the free list first (first fit, with
      * splitting), then the bump cursor.
      * @param[out] out Receives the frame base on success.
      * @return False when no free range fits (the paging engine evicts

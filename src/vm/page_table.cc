@@ -60,9 +60,10 @@ PageTable::rootPa() const
 void
 PageTable::map(Addr va, Addr pa, unsigned page_shift)
 {
-    NEUMMU_ASSERT(page_shift == smallPageShift ||
-                  page_shift == largePageShift,
-                  "only 4 KB and 2 MB pages are supported");
+    if (page_shift != smallPageShift && page_shift != largePageShift)
+        throw ConfigError("pageShift " + std::to_string(page_shift) +
+                          " is not supported (12 = 4 KB or 21 = 2 MB "
+                          "pages)");
     NEUMMU_ASSERT((va & pageOffsetMask(page_shift)) == 0,
                   "unaligned virtual address in map()");
     NEUMMU_ASSERT((pa & pageOffsetMask(page_shift)) == 0,

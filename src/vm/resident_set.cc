@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/logging.hh"
+#include "common/text.hh"
 
 namespace neummu {
 
@@ -19,14 +20,11 @@ evictionPolicyName(EvictionPolicy policy)
 EvictionPolicy
 evictionPolicyFromName(const std::string &name)
 {
-    std::string lower = name;
-    std::transform(lower.begin(), lower.end(), lower.begin(),
-                   [](unsigned char c) { return char(std::tolower(c)); });
-    if (lower == "clock")
-        return EvictionPolicy::Clock;
-    if (lower == "lru")
-        return EvictionPolicy::Lru;
-    NEUMMU_FATAL("unknown eviction policy '" + name + "' (clock|lru)");
+    const std::string want = lowered(name);
+    for (const EvictionPolicy p : {EvictionPolicy::Clock, EvictionPolicy::Lru})
+        if (want == evictionPolicyName(p))
+            return p;
+    throw ConfigError("unknown eviction policy '" + name + "' (clock|lru)");
 }
 
 ResidentSet::ResidentSet(EvictionPolicy policy) : _policy(policy) {}

@@ -34,7 +34,8 @@ enum class EvictionPolicy
 };
 
 std::string evictionPolicyName(EvictionPolicy policy);
-/** Inverse of evictionPolicyName (case-insensitive); fatal on junk. */
+/** Inverse of evictionPolicyName (case-insensitive); throws
+ *  ConfigError on junk. */
 EvictionPolicy evictionPolicyFromName(const std::string &name);
 
 /**

@@ -1,6 +1,7 @@
 #include "workloads/embedding.hh"
 
 #include "common/logging.hh"
+#include "workloads/workload.hh"
 
 namespace neummu {
 
@@ -90,7 +91,8 @@ makeDlrm()
 std::vector<EmbeddingLookup>
 generateLookups(const EmbeddingModelSpec &spec, unsigned batch, Rng &rng)
 {
-    NEUMMU_ASSERT(batch >= 1, "batch must be >= 1");
+    if (batch < 1)
+        throw WorkloadError("embedding batch= must be >= 1");
     std::vector<EmbeddingLookup> lookups;
     lookups.reserve(std::size_t(batch) * spec.lookupsPerSample());
     for (unsigned s = 0; s < batch; s++) {

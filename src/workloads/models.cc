@@ -1,6 +1,7 @@
 #include "workloads/models.hh"
 
 #include "common/logging.hh"
+#include "workloads/workload.hh"
 
 namespace neummu {
 
@@ -202,7 +203,8 @@ workloadName(WorkloadId id)
 DnnModel
 makeWorkload(WorkloadId id, unsigned batch)
 {
-    NEUMMU_ASSERT(batch >= 1, "batch must be >= 1");
+    if (batch < 1)
+        throw WorkloadError("dense batch= must be >= 1");
     switch (id) {
       case WorkloadId::CNN1: return makeAlexNet(batch);
       case WorkloadId::CNN2: return makeGoogLeNet(batch);

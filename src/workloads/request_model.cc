@@ -1,100 +1,11 @@
 #include "workloads/request_model.hh"
 
-#include <cstdlib>
-#include <map>
-
 #include "common/text.hh"
 #include "workloads/workload_factory.hh"
 
 namespace neummu {
 
 namespace {
-
-std::string
-joined(const std::vector<std::string> &items, const char *sep)
-{
-    std::string out;
-    for (const std::string &item : items) {
-        if (!out.empty())
-            out += sep;
-        out += item;
-    }
-    return out;
-}
-
-std::uint64_t
-takeUint(std::map<std::string, std::string> &params,
-         const std::string &key, std::uint64_t fallback)
-{
-    const auto it = params.find(key);
-    if (it == params.end())
-        return fallback;
-    const std::uint64_t v = parseSizeBytesChecked(it->second);
-    params.erase(it);
-    return v;
-}
-
-double
-takeDouble(std::map<std::string, std::string> &params,
-           const std::string &key, double fallback)
-{
-    const auto it = params.find(key);
-    if (it == params.end())
-        return fallback;
-    char *end = nullptr;
-    const double v = std::strtod(it->second.c_str(), &end);
-    if (end == it->second.c_str() || *end != '\0')
-        throw WorkloadError("malformed number '" + it->second +
-                            "' for request model parameter " + key);
-    params.erase(it);
-    return v;
-}
-
-std::string
-take(std::map<std::string, std::string> &params, const std::string &key,
-     const std::string &fallback)
-{
-    const auto it = params.find(key);
-    if (it == params.end())
-        return fallback;
-    std::string value = it->second;
-    params.erase(it);
-    return value;
-}
-
-void
-rejectLeftovers(const std::string &kind,
-                const std::map<std::string, std::string> &params)
-{
-    if (params.empty())
-        return;
-    std::string keys;
-    for (const auto &[key, value] : params) {
-        (void)value;
-        keys += (keys.empty() ? "" : ", ") + key;
-    }
-    throw WorkloadError("unknown " + kind +
-                        " request model parameter(s): " + keys);
-}
-
-/**
- * Request-model pattern names; PointerChase is excluded because a
- * request is one batched DMA fetch -- there is no dependent-access
- * chain to model inside it.
- */
-SyntheticPattern
-requestPatternFromName(const std::string &name)
-{
-    const std::string want = lowered(name);
-    if (want == "stride")
-        return SyntheticPattern::Stride;
-    if (want == "uniform")
-        return SyntheticPattern::UniformRandom;
-    if (want == "hotset")
-        return SyntheticPattern::HotSet;
-    throw WorkloadError("unknown request model pattern '" + name +
-                        "' (stride|uniform|hotset)");
-}
 
 void
 validate(const RequestModel &m)
@@ -116,9 +27,6 @@ RequestModel
 requestModelFromSpecChecked(const std::string &text)
 {
     WorkloadSpec spec = parseWorkloadSpec(text);
-    std::map<std::string, std::string> params =
-        std::move(spec.params);
-
     RequestModel m;
     if (spec.kind == "dense") {
         m.pattern = SyntheticPattern::Stride;
@@ -132,8 +40,13 @@ requestModelFromSpecChecked(const std::string &text)
         m.accessesPerRequest = 64;
         m.accessBytes = 512;
     } else if (spec.kind == "synthetic") {
-        m.pattern = requestPatternFromName(
-            take(params, "pattern", "stride"));
+        // A request is one batched DMA fetch: there is no
+        // dependent-access chain inside it to chase.
+        m.pattern =
+            syntheticPatternFromName(spec.take("pattern", "stride"));
+        if (m.pattern == SyntheticPattern::PointerChase)
+            throw WorkloadError("request model pattern 'chase' is not "
+                                "supported (stride|uniform|hotset)");
         m.footprintBytes = 4 * MiB;
         m.accessesPerRequest = 64;
         m.accessBytes = 1 * KiB;
@@ -143,17 +56,17 @@ requestModelFromSpecChecked(const std::string &text)
                             joined(listRequestModels(), "\n  "));
     }
 
-    m.footprintBytes = takeUint(params, "footprint", m.footprintBytes);
+    m.footprintBytes = spec.takeUint("footprint", m.footprintBytes);
     m.accessesPerRequest =
-        takeUint(params, "accesses", m.accessesPerRequest);
-    m.accessBytes = takeUint(params, "bytes", m.accessBytes);
+        spec.takeUint("accesses", m.accessesPerRequest);
+    m.accessBytes = spec.takeUint("bytes", m.accessBytes);
     if (spec.kind != "embedding")
-        m.strideBytes = takeUint(params, "stride", m.strideBytes);
+        m.strideBytes = spec.takeUint("stride", m.strideBytes);
     if (spec.kind == "synthetic") {
-        m.hotFraction = takeDouble(params, "hot", m.hotFraction);
-        m.hotProbability = takeDouble(params, "phot", m.hotProbability);
+        m.hotFraction = spec.takeDouble("hot", m.hotFraction);
+        m.hotProbability = spec.takeDouble("phot", m.hotProbability);
     }
-    rejectLeftovers(spec.kind, params);
+    spec.rejectLeftovers("request model");
     validate(m);
     return m;
 }
@@ -162,10 +75,10 @@ std::vector<std::string>
 listRequestModels()
 {
     return {
-        "dense: footprint=SZ accesses=N bytes=SZ stride=SZ",
-        "embedding: footprint=SZ accesses=N bytes=SZ",
-        "synthetic: pattern=stride|uniform|hotset footprint=SZ "
-        "accesses=N bytes=SZ stride=SZ hot=F phot=F",
+        "dense:footprint=SZ,accesses=N,bytes=SZ,stride=SZ",
+        "embedding:footprint=SZ,accesses=N,bytes=SZ",
+        "synthetic:pattern=stride|uniform|hotset,footprint=SZ,"
+        "accesses=N,bytes=SZ,stride=SZ,hot=F,phot=F",
     };
 }
 

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "common/logging.hh"
+#include "common/text.hh"
 #include "system/system.hh"
 
 namespace neummu {
@@ -23,35 +24,34 @@ syntheticPatternName(SyntheticPattern pattern)
 SyntheticPattern
 syntheticPatternFromName(const std::string &name)
 {
-    std::string lower = name;
-    std::transform(lower.begin(), lower.end(), lower.begin(),
-                   [](unsigned char c) { return char(std::tolower(c)); });
-    if (lower == "stride")
-        return SyntheticPattern::Stride;
-    if (lower == "uniform" || lower == "random")
-        return SyntheticPattern::UniformRandom;
-    if (lower == "hotset" || lower == "hot")
-        return SyntheticPattern::HotSet;
-    if (lower == "chase" || lower == "pointer-chase")
-        return SyntheticPattern::PointerChase;
-    NEUMMU_FATAL("unknown synthetic pattern '" + name +
-                 "' (stride|uniform|hotset|chase)");
+    const std::string want = lowered(name);
+    for (const SyntheticPattern p :
+         {SyntheticPattern::Stride, SyntheticPattern::UniformRandom,
+          SyntheticPattern::HotSet, SyntheticPattern::PointerChase})
+        if (want == syntheticPatternName(p))
+            return p;
+    throw WorkloadError("unknown synthetic pattern '" + name +
+                        "' (stride|uniform|hotset|chase)");
 }
 
 SyntheticWorkload::SyntheticWorkload(SyntheticWorkloadConfig cfg)
     : Workload("synthetic." + syntheticPatternName(cfg.pattern)),
       _cfg(std::move(cfg))
 {
-    NEUMMU_ASSERT(_cfg.footprintBytes > 0, "zero synthetic footprint");
-    NEUMMU_ASSERT(_cfg.accessBytes > 0, "zero synthetic access size");
-    NEUMMU_ASSERT(_cfg.accesses > 0, "zero synthetic access count");
-    NEUMMU_ASSERT(_cfg.batchLength > 0, "zero synthetic batch length");
+    if (_cfg.footprintBytes == 0)
+        throw WorkloadError("synthetic footprint= must be > 0");
+    if (_cfg.accessBytes == 0)
+        throw WorkloadError("synthetic bytes= must be > 0");
+    if (_cfg.accesses == 0)
+        throw WorkloadError("synthetic accesses= must be > 0");
+    if (_cfg.batchLength == 0)
+        throw WorkloadError("synthetic batch= must be > 0");
     if (_cfg.hotFraction <= 0.0 || _cfg.hotFraction > 1.0)
-        NEUMMU_FATAL("synthetic hotFraction must be in (0, 1], got " +
-                     std::to_string(_cfg.hotFraction));
+        throw WorkloadError("synthetic hot= must be in (0, 1], got " +
+                            std::to_string(_cfg.hotFraction));
     if (_cfg.hotProbability < 0.0 || _cfg.hotProbability > 1.0)
-        NEUMMU_FATAL("synthetic hotProbability must be in [0, 1], "
-                     "got " + std::to_string(_cfg.hotProbability));
+        throw WorkloadError("synthetic phot= must be in [0, 1], got " +
+                            std::to_string(_cfg.hotProbability));
     if (_cfg.pattern == SyntheticPattern::PointerChase)
         _cfg.batchLength = 1; // dependent accesses: no MLP
     _cfg.accessBytes =
@@ -63,9 +63,9 @@ SyntheticWorkload::onBind()
 {
     System &sys = system();
     if (_cfg.demandPaged) {
-        NEUMMU_ASSERT(sys.hasPagingEngine(),
-                      "synthetic demandPaged needs "
-                      "SystemConfig.paging.enabled");
+        if (!sys.hasPagingEngine())
+            throw WorkloadError("synthetic paged=1 needs "
+                                "paging.enabled=1");
         _segment = sys.addressSpace().allocateUnbacked(
             name() + ".footprint", _cfg.footprintBytes,
             sys.config().pageShift);

@@ -48,7 +48,8 @@ enum class SyntheticPattern
 };
 
 std::string syntheticPatternName(SyntheticPattern pattern);
-/** Inverse of syntheticPatternName (case-insensitive); fatal on junk. */
+/** Inverse of syntheticPatternName (case-insensitive); throws
+ *  WorkloadError on junk. */
 SyntheticPattern syntheticPatternFromName(const std::string &name);
 
 /** Configuration of one synthetic traffic source. */

@@ -208,12 +208,15 @@ TraceWorkload::onBind()
 {
     if (_cfg.entries.empty() && !_cfg.path.empty()) {
         if (!readTraceJsonl(_cfg.path, _cfg.header, _cfg.entries))
-            NEUMMU_FATAL("cannot load trace '" + _cfg.path + "'");
+            throw WorkloadError("cannot load trace path=" + _cfg.path);
     }
 
     System &sys = system();
-    NEUMMU_ASSERT(_cfg.header.pageShift == sys.config().pageShift,
-                  "trace page size differs from the replay system's");
+    if (_cfg.header.pageShift != sys.config().pageShift)
+        throw WorkloadError("trace pageShift " +
+                            std::to_string(_cfg.header.pageShift) +
+                            " differs from the system's pageShift " +
+                            std::to_string(sys.config().pageShift));
 
     if (_cfg.mapPages) {
         // Back every page the trace touches, in first-touch order.
@@ -279,8 +282,10 @@ TraceWorkload::issue(std::size_t index)
 
     if (index + 1 < _cfg.entries.size()) {
         const TraceEntry &next = _cfg.entries[index + 1];
-        NEUMMU_ASSERT(next.tick >= e.tick,
-                      "trace ticks must be non-decreasing");
+        if (next.tick < e.tick)
+            throw WorkloadError("trace ticks must be non-decreasing "
+                                "(entry " + std::to_string(index + 1) +
+                                ")");
         eventQueue().schedule(
             when + (next.tick - e.tick),
             [this, index] { issue(index + 1); });

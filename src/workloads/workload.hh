@@ -19,6 +19,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <stdexcept>
 #include <string>
 
 #include "common/stats.hh"
@@ -28,6 +29,16 @@ namespace neummu {
 
 class EventQueue;
 class System;
+
+/**
+ * User error in a workload spec (unknown kind/key, malformed or
+ * out-of-range value) or in the file or machine a workload needs.
+ */
+class WorkloadError : public std::runtime_error
+{
+  public:
+    using std::runtime_error::runtime_error;
+};
 
 /**
  * Abstract traffic source. Lifecycle: construct -> bind(system, npu)

@@ -5,7 +5,6 @@
 #include <cstdlib>
 #include <limits>
 
-#include "common/logging.hh"
 #include "common/text.hh"
 #include "workloads/dense_dnn_workload.hh"
 #include "workloads/embedding_workload.hh"
@@ -15,24 +14,8 @@
 
 namespace neummu {
 
-namespace {
-
 std::string
-joined(const std::vector<std::string> &items, const char *sep)
-{
-    std::string out;
-    for (const std::string &item : items) {
-        if (!out.empty())
-            out += sep;
-        out += item;
-    }
-    return out;
-}
-
-/** Consume params[key], erasing it so leftovers can be reported. */
-std::string
-take(std::map<std::string, std::string> &params, const std::string &key,
-     const std::string &fallback)
+WorkloadSpec::take(const std::string &key, const std::string &fallback)
 {
     const auto it = params.find(key);
     if (it == params.end())
@@ -43,8 +26,7 @@ take(std::map<std::string, std::string> &params, const std::string &key,
 }
 
 std::uint64_t
-takeUint(std::map<std::string, std::string> &params,
-         const std::string &key, std::uint64_t fallback)
+WorkloadSpec::takeUint(const std::string &key, std::uint64_t fallback)
 {
     const auto it = params.find(key);
     if (it == params.end())
@@ -55,8 +37,7 @@ takeUint(std::map<std::string, std::string> &params,
 }
 
 double
-takeDouble(std::map<std::string, std::string> &params,
-           const std::string &key, double fallback)
+WorkloadSpec::takeDouble(const std::string &key, double fallback)
 {
     const auto it = params.find(key);
     if (it == params.end())
@@ -65,14 +46,13 @@ takeDouble(std::map<std::string, std::string> &params,
     const double v = std::strtod(it->second.c_str(), &end);
     if (end == it->second.c_str() || *end != '\0')
         throw WorkloadError("malformed number '" + it->second +
-                            "' for workload parameter " + key);
+                            "' for " + kind + " parameter " + key + "=");
     params.erase(it);
     return v;
 }
 
 void
-rejectLeftovers(const std::string &kind,
-                const std::map<std::string, std::string> &params)
+WorkloadSpec::rejectLeftovers(const std::string &what) const
 {
     if (params.empty())
         return;
@@ -81,9 +61,11 @@ rejectLeftovers(const std::string &kind,
         (void)value;
         keys += (keys.empty() ? "" : ", ") + key;
     }
-    throw WorkloadError("unknown " + kind +
-                        " workload parameter(s): " + keys);
+    throw WorkloadError("unknown " + kind + " " + what +
+                        " parameter(s): " + keys);
 }
+
+namespace {
 
 WorkloadId
 workloadIdFromName(const std::string &name)
@@ -92,14 +74,14 @@ workloadIdFromName(const std::string &name)
     std::vector<std::string> known;
     for (const WorkloadId id : allWorkloads()) {
         std::string candidate = lowered(workloadName(id));
-        known.push_back(workloadName(id));
         if (candidate == want)
             return id;
-        // Accept "CNN1" for "CNN-1".
-        candidate.erase(std::remove(candidate.begin(), candidate.end(),
-                                    '-'),
-                        candidate.end());
-        if (candidate == want)
+        // Specs spell "CNN-1" as "CNN1".
+        std::string spelled = workloadName(id);
+        spelled.erase(std::remove(spelled.begin(), spelled.end(), '-'),
+                      spelled.end());
+        known.push_back(spelled);
+        if (lowered(spelled) == want)
             return id;
     }
     throw WorkloadError("unknown dense model '" + name +
@@ -107,28 +89,28 @@ workloadIdFromName(const std::string &name)
 }
 
 std::unique_ptr<Workload>
-makeDense(std::map<std::string, std::string> params)
+makeDense(WorkloadSpec &spec)
 {
     DenseDnnWorkloadConfig cfg;
-    cfg.workload = workloadIdFromName(take(params, "model", "CNN1"));
-    cfg.batch = unsigned(takeUint(params, "batch", 1));
+    cfg.workload = workloadIdFromName(spec.take("model", "CNN1"));
+    cfg.batch = unsigned(spec.takeUint("batch", 1));
     // layers=N truncates the workload to its first N layers (the
     // golden matrix and quick smokes use short prefixes).
-    const std::uint64_t layers = takeUint(params, "layers", 0);
+    const std::uint64_t layers = spec.takeUint("layers", 0);
     if (layers > 0) {
         cfg.layerOverride = makeWorkload(cfg.workload, cfg.batch).layers;
         if (layers < cfg.layerOverride.size())
             cfg.layerOverride.resize(layers);
     }
-    rejectLeftovers("dense", params);
+    spec.rejectLeftovers("workload");
     return std::make_unique<DenseDnnWorkload>(std::move(cfg));
 }
 
 std::unique_ptr<Workload>
-makeEmbedding(std::map<std::string, std::string> params)
+makeEmbedding(WorkloadSpec &spec)
 {
     EmbeddingWorkloadConfig cfg;
-    const std::string model = lowered(take(params, "model", "dlrm"));
+    const std::string model = lowered(spec.take("model", "dlrm"));
     if (model == "dlrm")
         cfg.spec = makeDlrm();
     else if (model == "ncf")
@@ -136,9 +118,9 @@ makeEmbedding(std::map<std::string, std::string> params)
     else
         throw WorkloadError("unknown embedding model '" + model +
                             "' (dlrm|ncf)");
-    cfg.batch = unsigned(takeUint(params, "batch", 4));
+    cfg.batch = unsigned(spec.takeUint("batch", 4));
 
-    const std::string mode = lowered(take(params, "mode", "inference"));
+    const std::string mode = lowered(spec.take("mode", "inference"));
     if (mode == "inference")
         cfg.mode = EmbeddingWorkloadMode::Inference;
     else if (mode == "paging")
@@ -147,7 +129,7 @@ makeEmbedding(std::map<std::string, std::string> params)
         throw WorkloadError("unknown embedding mode '" + mode +
                             "' (inference|paging)");
 
-    const std::string policy = lowered(take(params, "policy", "fast"));
+    const std::string policy = lowered(spec.take("policy", "fast"));
     if (policy == "host" || policy == "baseline")
         cfg.policy = EmbeddingPolicy::HostStagedCopy;
     else if (policy == "slow")
@@ -158,48 +140,50 @@ makeEmbedding(std::map<std::string, std::string> params)
         throw WorkloadError("unknown embedding policy '" + policy +
                             "' (host|slow|fast)");
 
-    cfg.seed = takeUint(params, "seed", cfg.seed);
-    rejectLeftovers("embedding", params);
+    cfg.seed = spec.takeUint("seed", cfg.seed);
+    spec.rejectLeftovers("workload");
     return std::make_unique<EmbeddingWorkload>(std::move(cfg));
 }
 
 std::unique_ptr<Workload>
-makeSynthetic(std::map<std::string, std::string> params)
+makeSynthetic(WorkloadSpec &spec)
 {
     SyntheticWorkloadConfig cfg;
     cfg.pattern =
-        syntheticPatternFromName(take(params, "pattern", "stride"));
+        syntheticPatternFromName(spec.take("pattern", "stride"));
     cfg.footprintBytes =
-        takeUint(params, "footprint", cfg.footprintBytes);
-    cfg.accesses = takeUint(params, "accesses", cfg.accesses);
-    cfg.accessBytes = takeUint(params, "bytes", cfg.accessBytes);
-    cfg.strideBytes = takeUint(params, "stride", cfg.strideBytes);
+        spec.takeUint("footprint", cfg.footprintBytes);
+    cfg.accesses = spec.takeUint("accesses", cfg.accesses);
+    cfg.accessBytes = spec.takeUint("bytes", cfg.accessBytes);
+    cfg.strideBytes = spec.takeUint("stride", cfg.strideBytes);
     cfg.batchLength =
-        unsigned(takeUint(params, "batch", cfg.batchLength));
-    cfg.thinkCycles = takeUint(params, "think", cfg.thinkCycles);
-    cfg.hotFraction = takeDouble(params, "hot", cfg.hotFraction);
-    cfg.hotProbability = takeDouble(params, "phot", cfg.hotProbability);
+        unsigned(spec.takeUint("batch", cfg.batchLength));
+    cfg.thinkCycles = spec.takeUint("think", cfg.thinkCycles);
+    cfg.hotFraction = spec.takeDouble("hot", cfg.hotFraction);
+    cfg.hotProbability = spec.takeDouble("phot", cfg.hotProbability);
     cfg.demandPaged =
-        takeUint(params, "paged", cfg.demandPaged ? 1 : 0) != 0;
-    cfg.seed = takeUint(params, "seed", cfg.seed);
-    rejectLeftovers("synthetic", params);
+        spec.takeUint("paged", cfg.demandPaged ? 1 : 0) != 0;
+    cfg.seed = spec.takeUint("seed", cfg.seed);
+    spec.rejectLeftovers("workload");
     return std::make_unique<SyntheticWorkload>(std::move(cfg));
 }
 
 std::unique_ptr<Workload>
-makeTrace(std::map<std::string, std::string> params)
+makeTrace(WorkloadSpec &spec)
 {
     TraceWorkloadConfig cfg;
-    cfg.path = take(params, "path", "");
+    cfg.path = spec.take("path", "");
     if (cfg.path.empty())
         throw WorkloadError("trace workload needs path=<file.jsonl>");
-    cfg.mapPages = takeUint(params, "map", 1) != 0;
-    rejectLeftovers("trace", params);
+    cfg.mapPages = spec.takeUint("map", 1) != 0;
+    spec.rejectLeftovers("workload");
     return std::make_unique<TraceWorkload>(std::move(cfg));
 }
 
+} // namespace
+
 WorkloadSpec
-parseWorkloadSpecChecked(const std::string &text)
+parseWorkloadSpec(const std::string &text)
 {
     WorkloadSpec spec;
     const std::size_t colon = text.find(':');
@@ -224,18 +208,6 @@ parseWorkloadSpecChecked(const std::string &text)
         pos = comma + 1;
     }
     return spec;
-}
-
-} // namespace
-
-WorkloadSpec
-parseWorkloadSpec(const std::string &text)
-{
-    try {
-        return parseWorkloadSpecChecked(text);
-    } catch (const WorkloadError &e) {
-        NEUMMU_FATAL(e.what());
-    }
 }
 
 std::uint64_t
@@ -278,41 +250,21 @@ parseSizeBytesChecked(const std::string &text)
     return value << shift;
 }
 
-std::uint64_t
-parseSizeBytes(const std::string &text)
-{
-    try {
-        return parseSizeBytesChecked(text);
-    } catch (const WorkloadError &e) {
-        NEUMMU_FATAL(e.what());
-    }
-}
-
 std::unique_ptr<Workload>
 makeWorkloadFromSpecChecked(const std::string &text)
 {
-    WorkloadSpec spec = parseWorkloadSpecChecked(text);
+    WorkloadSpec spec = parseWorkloadSpec(text);
     if (spec.kind == "dense")
-        return makeDense(std::move(spec.params));
+        return makeDense(spec);
     if (spec.kind == "embedding")
-        return makeEmbedding(std::move(spec.params));
+        return makeEmbedding(spec);
     if (spec.kind == "synthetic")
-        return makeSynthetic(std::move(spec.params));
+        return makeSynthetic(spec);
     if (spec.kind == "trace")
-        return makeTrace(std::move(spec.params));
+        return makeTrace(spec);
     throw WorkloadError("unknown workload kind '" + spec.kind +
                         "'; valid kinds:\n  " +
                         joined(listWorkloads(), "\n  "));
-}
-
-std::unique_ptr<Workload>
-makeWorkloadFromSpec(const std::string &text)
-{
-    try {
-        return makeWorkloadFromSpecChecked(text);
-    } catch (const WorkloadError &e) {
-        NEUMMU_FATAL(e.what());
-    }
 }
 
 std::vector<std::unique_ptr<Workload>>
@@ -334,16 +286,6 @@ makeWorkloadsFromListChecked(const std::string &list)
     return out;
 }
 
-std::vector<std::unique_ptr<Workload>>
-makeWorkloadsFromList(const std::string &list)
-{
-    try {
-        return makeWorkloadsFromListChecked(list);
-    } catch (const WorkloadError &e) {
-        NEUMMU_FATAL(e.what());
-    }
-}
-
 const std::vector<std::string> &
 workloadFactoryKinds()
 {
@@ -356,22 +298,14 @@ std::vector<std::string>
 listWorkloads()
 {
     return {
-        "dense: model=CNN1..RNN3 batch=N layers=N",
-        "embedding: model=dlrm|ncf batch=N mode=inference|paging "
-        "policy=host|slow|fast seed=N",
-        "synthetic: pattern=stride|uniform|hotset|chase footprint=SZ "
-        "accesses=N bytes=SZ stride=SZ batch=N think=N hot=F phot=F "
-        "paged=0|1 seed=N",
-        "trace: path=FILE map=0|1",
+        "dense:model=CNN1..RNN3,batch=N,layers=N",
+        "embedding:model=dlrm|ncf,batch=N,mode=inference|paging,"
+        "policy=host|slow|fast,seed=N",
+        "synthetic:pattern=stride|uniform|hotset|chase,footprint=SZ,"
+        "accesses=N,bytes=SZ,stride=SZ,batch=N,think=N,hot=F,phot=F,"
+        "paged=0|1,seed=N",
+        "trace:path=FILE,map=0|1",
     };
-}
-
-std::string
-workloadFactoryHelp()
-{
-    // Derived from listWorkloads() so the one-line help can never
-    // drift from the authoritative per-kind summaries.
-    return joined(listWorkloads(), " | ");
 }
 
 } // namespace neummu

@@ -431,9 +431,9 @@ runOversubGather(const std::string &design)
                                 {"paging.faultLatency", "10000"}});
     System system(cfg);
     Scheduler scheduler(system);
-    scheduler.add(
-        makeWorkloadFromSpec("embedding:model=dlrm,mode=paging,batch=1"),
-        0);
+    scheduler.add(makeWorkloadFromSpecChecked(
+                      "embedding:model=dlrm,mode=paging,batch=1"),
+                  0);
     const SchedulerResult result = scheduler.run();
     ASSERT_TRUE(result.allDone) << design;
 

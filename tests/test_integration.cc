@@ -12,6 +12,7 @@
 #include <utility>
 #include <vector>
 
+#include "expect_throw.hh"
 #include "mmu/energy_model.hh"
 #include "system/scheduler.hh"
 #include "system/system.hh"
@@ -277,9 +278,10 @@ TEST(DenseIntegration, SramCostMatchesSectionFourE)
     EXPECT_EQ(cost.ptsBytes(), 768u);
 }
 
-TEST(DenseIntegrationDeath, MismatchedPageShiftIsCaught)
+TEST(DenseIntegration, MismatchedPageShiftIsCaught)
 {
     SystemConfig sys = machine(baselineIommuConfig());
     sys.pageShift = largePageShift; // mmu still expects 4 KB
-    EXPECT_DEATH(runDense(sys, smallWorkload()), "page size");
+    expectThrowWith<ConfigError>([&] { runDense(sys, smallWorkload()); },
+                                 "page size");
 }

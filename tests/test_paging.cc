@@ -119,6 +119,7 @@ TEST(ResidentSet, PolicyNamesRoundTrip)
     EXPECT_EQ(evictionPolicyFromName("LRU"), EvictionPolicy::Lru);
     EXPECT_EQ(evictionPolicyName(EvictionPolicy::Clock), "clock");
     EXPECT_EQ(evictionPolicyName(EvictionPolicy::Lru), "lru");
+    EXPECT_THROW(evictionPolicyFromName("fifo"), ConfigError);
 }
 
 // --- PagingEngine ---------------------------------------------------
@@ -149,7 +150,7 @@ TEST(PagingEngine, SyntheticOversubscriptionReachesSteadyState)
     SystemConfig cfg = pagingSystemConfig("neummu", 16);
     System sys(cfg);
     Scheduler sched(sys);
-    sched.add(makeWorkloadFromSpec(
+    sched.add(makeWorkloadFromSpecChecked(
         "synthetic:pattern=uniform,footprint=512k,accesses=512,"
         "bytes=256,paged=1"));
     const SchedulerResult result = sched.run();
@@ -176,7 +177,7 @@ TEST(PagingEngine, EvictionsRecycleFramesInsteadOfGrowingTheNode)
     cfg.npuHbmBytes = 64 * 4096;
     System sys(cfg);
     Scheduler sched(sys);
-    sched.add(makeWorkloadFromSpec(
+    sched.add(makeWorkloadFromSpecChecked(
         "synthetic:pattern=stride,footprint=1m,accesses=256,"
         "bytes=4096,stride=4096,paged=1"));
     const SchedulerResult result = sched.run();
@@ -272,7 +273,7 @@ TEST(PagingEngine, OversubscribedEmbeddingGatherAcceptance)
         cfg.paging.residentLimitBytes = limit_pages * 4096;
         auto sys = std::make_unique<System>(cfg);
         Scheduler sched(*sys);
-        sched.add(makeWorkloadFromSpec(
+        sched.add(makeWorkloadFromSpecChecked(
                       "embedding:model=dlrm,mode=paging,batch=2"),
                   0);
         const SchedulerResult r = sched.run();
@@ -316,7 +317,7 @@ TEST(PagingEngine, LegacyDemandPagingPathUnchangedWithoutEngine)
     System sys(cfg);
     Scheduler sched(sys);
     const auto &gather = static_cast<const EmbeddingWorkload &>(
-        sched.add(makeWorkloadFromSpec(
+        sched.add(makeWorkloadFromSpecChecked(
                       "embedding:model=dlrm,mode=paging,batch=2,seed=11"),
                   0));
     ASSERT_TRUE(sched.run().allDone);

@@ -240,7 +240,7 @@ expectRespondScopesUnderPaging(const std::string &design)
     cfg.paging.faultLatency = 200;
     System sys(cfg);
     Scheduler sched(sys);
-    sched.add(makeWorkloadFromSpec(
+    sched.add(makeWorkloadFromSpecChecked(
         "synthetic:pattern=uniform,footprint=512k,accesses=256,"
         "bytes=256,paged=1"));
     ASSERT_TRUE(sched.run().allDone) << design;

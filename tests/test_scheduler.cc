@@ -13,6 +13,7 @@
 #include <memory>
 #include <string>
 
+#include "expect_throw.hh"
 #include "sweep/config_binder.hh"
 #include "system/scheduler.hh"
 #include "system/system.hh"
@@ -178,7 +179,7 @@ TEST(SchedulerPin, DemandPagingMatchesPreRefactorDriver)
     System system(cfg);
     Scheduler scheduler(system);
     const auto &gather = static_cast<const EmbeddingWorkload &>(
-        scheduler.add(makeWorkloadFromSpec(
+        scheduler.add(makeWorkloadFromSpecChecked(
                           "embedding:model=dlrm,mode=paging,batch=4,seed=1"),
                       0));
     ASSERT_TRUE(scheduler.run().allDone);
@@ -485,16 +486,22 @@ TEST(Scheduler, AutoPlacementFillsFreeSlots)
     EXPECT_TRUE(scheduler.run().allDone);
 }
 
-TEST(SchedulerDeath, DoublePlacementOnOneSlotIsCaught)
+TEST(Scheduler, DoublePlacementOnOneSlotIsCaught)
 {
     SystemConfig cfg;
     System system(cfg);
     Scheduler scheduler(system);
     SyntheticWorkloadConfig scfg;
     scheduler.add(std::make_unique<SyntheticWorkload>(scfg), 0);
-    EXPECT_DEATH(scheduler.add(
-                     std::make_unique<SyntheticWorkload>(scfg), 0),
-                 "already has a workload");
+    expectThrowWith<ConfigError>(
+        [&] {
+            scheduler.add(std::make_unique<SyntheticWorkload>(scfg), 0);
+        },
+        "already has a workload");
+    // With every slot taken, first-free placement has nowhere to go.
+    expectThrowWith<ConfigError>(
+        [&] { scheduler.add(std::make_unique<SyntheticWorkload>(scfg)); },
+        "no free NPU slot");
 }
 
 // ---------------------------------------------------------------------
@@ -514,25 +521,25 @@ TEST(WorkloadFactory, ParsesSpecGrammar)
 
 TEST(WorkloadFactory, ParsesSizeSuffixes)
 {
-    EXPECT_EQ(parseSizeBytes("4096"), 4096u);
-    EXPECT_EQ(parseSizeBytes("4K"), 4096u);
-    EXPECT_EQ(parseSizeBytes("2m"), 2u * 1024 * 1024);
-    EXPECT_EQ(parseSizeBytes("1G"), 1024u * 1024 * 1024);
+    EXPECT_EQ(parseSizeBytesChecked("4096"), 4096u);
+    EXPECT_EQ(parseSizeBytesChecked("4K"), 4096u);
+    EXPECT_EQ(parseSizeBytesChecked("2m"), 2u * 1024 * 1024);
+    EXPECT_EQ(parseSizeBytesChecked("1G"), 1024u * 1024 * 1024);
 }
 
 TEST(WorkloadFactory, BuildsEveryKind)
 {
-    EXPECT_EQ(makeWorkloadFromSpec("dense:model=RNN1,batch=4")->name(),
+    EXPECT_EQ(makeWorkloadFromSpecChecked("dense:model=RNN1,batch=4")->name(),
               "dense.RNN-1.b4");
-    EXPECT_EQ(makeWorkloadFromSpec("embedding:model=ncf,mode=paging")
+    EXPECT_EQ(makeWorkloadFromSpecChecked("embedding:model=ncf,mode=paging")
                   ->name(),
               "embedding.NCF.paging.b4");
-    EXPECT_EQ(makeWorkloadFromSpec("synthetic:pattern=chase")->name(),
+    EXPECT_EQ(makeWorkloadFromSpecChecked("synthetic:pattern=chase")->name(),
               "synthetic.chase");
     EXPECT_EQ(
-        makeWorkloadFromSpec("trace:path=/tmp/x.jsonl")->name(),
+        makeWorkloadFromSpecChecked("trace:path=/tmp/x.jsonl")->name(),
         "trace");
-    const auto list = makeWorkloadsFromList(
+    const auto list = makeWorkloadsFromListChecked(
         "dense:model=CNN1;synthetic:pattern=stride");
     EXPECT_EQ(list.size(), 2u);
 }
@@ -576,9 +583,15 @@ TEST(WorkloadFactory, UnknownNamesEnumerateValidChoices)
     } catch (const WorkloadError &e) {
         const std::string msg = e.what();
         EXPECT_NE(msg.find("unknown dense model"), std::string::npos);
-        for (const WorkloadId id : allWorkloads())
-            EXPECT_NE(msg.find(workloadName(id)), std::string::npos)
-                << "error does not mention " << workloadName(id);
+        // ...spelled the way specs write them ("CNN1", not "CNN-1").
+        for (const WorkloadId id : allWorkloads()) {
+            std::string spelled = workloadName(id);
+            spelled.erase(spelled.find('-'), 1);
+            EXPECT_NE(msg.find(spelled), std::string::npos)
+                << "error does not mention " << spelled;
+            EXPECT_EQ(msg.find(workloadName(id)), std::string::npos)
+                << "error spells " << workloadName(id) << " with a dash";
+        }
     }
 }
 
@@ -619,14 +632,14 @@ TEST(WorkloadFactory, DenseLayersParamTruncatesTheModel)
     direct.layerOverride = makeWorkload(WorkloadId::CNN1, 1).layers;
     direct.layerOverride.resize(2);
     EXPECT_EQ(
-        runTicks(makeWorkloadFromSpec(
+        runTicks(makeWorkloadFromSpecChecked(
             "dense:model=CNN1,batch=1,layers=2")),
         runTicks(std::make_unique<DenseDnnWorkload>(direct)));
     // A huge layers= is clamped to the model, not an error.
     EXPECT_EQ(
-        runTicks(makeWorkloadFromSpec(
+        runTicks(makeWorkloadFromSpecChecked(
             "dense:model=RNN1,batch=1,layers=9999")),
-        runTicks(makeWorkloadFromSpec("dense:model=RNN1,batch=1")));
+        runTicks(makeWorkloadFromSpecChecked("dense:model=RNN1,batch=1")));
 }
 
 TEST(WorkloadFactory, FactoryRunMatchesDirectConstruction)
@@ -644,30 +657,33 @@ TEST(WorkloadFactory, FactoryRunMatchesDirectConstruction)
     direct.workload = WorkloadId::RNN1;
     direct.batch = 1;
     EXPECT_EQ(
-        run(makeWorkloadFromSpec("dense:model=RNN1,batch=1")),
+        run(makeWorkloadFromSpecChecked("dense:model=RNN1,batch=1")),
         run(std::make_unique<DenseDnnWorkload>(direct)));
 }
 
-TEST(WorkloadFactoryDeath, RejectsJunk)
+TEST(WorkloadFactory, RejectsJunk)
 {
-    EXPECT_DEATH(makeWorkloadFromSpec("warp:speed=9"),
-                 "unknown workload kind");
-    EXPECT_DEATH(makeWorkloadFromSpec("dense:model=VGG"),
-                 "unknown dense model");
-    EXPECT_DEATH(makeWorkloadFromSpec("dense:typo=1"),
-                 "unknown dense workload parameter");
-    EXPECT_DEATH(makeWorkloadFromSpec("synthetic:pattern=zigzag"),
-                 "unknown synthetic pattern");
-    EXPECT_DEATH(makeWorkloadFromSpec("trace"), "needs path=");
-    EXPECT_DEATH(parseSizeBytes("12q"), "size suffix");
-    EXPECT_DEATH(makeWorkloadFromSpec("synthetic:hot=abc"),
-                 "malformed number");
-    // Out-of-range knobs die at construction, not as a cryptic
-    // unmapped-page panic mid-simulation.
-    EXPECT_DEATH(makeWorkloadFromSpec("synthetic:hot=1.5"),
-                 "hotFraction");
-    EXPECT_DEATH(makeWorkloadFromSpec("synthetic:phot=2"),
-                 "hotProbability");
+    const auto rejects = [](const std::string &spec,
+                            const std::string &needle) {
+        expectThrowWith<WorkloadError>(
+            [&] { makeWorkloadFromSpecChecked(spec); }, needle);
+    };
+    rejects("warp:speed=9", "unknown workload kind");
+    rejects("dense:model=VGG", "unknown dense model");
+    rejects("dense:typo=1", "unknown dense workload parameter");
+    rejects("synthetic:pattern=zigzag", "unknown synthetic pattern");
+    // The pattern aliases are gone: one spelling per pattern.
+    rejects("synthetic:pattern=random", "unknown synthetic pattern");
+    rejects("synthetic:pattern=pointer-chase",
+            "unknown synthetic pattern");
+    rejects("trace", "needs path=");
+    expectThrowWith<WorkloadError>([] { parseSizeBytesChecked("12q"); },
+                                   "size suffix");
+    rejects("synthetic:hot=abc", "malformed number");
+    // Out-of-range knobs fail at construction, not as a cryptic
+    // unmapped-page panic mid-simulation; the error names the spec key.
+    rejects("synthetic:hot=1.5", "hot=");
+    rejects("synthetic:phot=2", "phot=");
 }
 
 // ---------------------------------------------------------------------

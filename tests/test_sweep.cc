@@ -195,7 +195,6 @@ TEST(ConfigBinder, PresetReplacesMachineKeepingIdentity)
     // default burst already does).
     EXPECT_EQ(cfg.numNpus, 1u);
     EXPECT_EQ(cfg.vaScatterShift, 0u);
-    EXPECT_EQ(cfg.dmaBurstBytes, 512u);
     EXPECT_EQ(cfg.npu.dmaBurstBytes, 512u);
     EXPECT_FALSE(cfg.paging.enabled);
 
@@ -205,7 +204,7 @@ TEST(ConfigBinder, PresetReplacesMachineKeepingIdentity)
                                   {"preset", "ncf_paging"}});
     EXPECT_EQ(large.pageShift, largePageShift);
     EXPECT_EQ(large.mmuDesign, "iommu");
-    EXPECT_EQ(large.dmaBurstBytes, 512u);
+    EXPECT_EQ(large.npu.dmaBurstBytes, 512u);
 }
 
 TEST(ConfigBinder, RejectsJunk)
@@ -520,6 +519,164 @@ TEST(SweepEngine, IsolatesFailingJobsAndKeepsOrder)
               std::string::npos);
     EXPECT_TRUE(results.jobs[3].ok);
     EXPECT_GT(results.jobs[3].outcome.totalCycles, 0u);
+}
+
+TEST(SweepEngine, BadInputFailsOnlyItsJob)
+{
+    // Every input below once ended the whole process: exit(1) for a
+    // fatal() site, abort() for an assert on a config value, SIGFPE
+    // for a zero interleave. Now each is a typed error that fails its
+    // own job, and the error names the offending key or parameter.
+    struct Bad
+    {
+        sweep::OverrideList set;
+        std::string workload;
+        std::string needle;
+    };
+    const std::string tiny = "synthetic:accesses=64,footprint=64K";
+    const std::vector<Bad> bad = {
+        {{}, "synthetic:pattern=zigzag", "zigzag"},
+        {{}, "synthetic:hot=1.5", "hot="},
+        {{}, "synthetic:phot=2", "phot="},
+        {{}, "trace:path=" + tempPath("no_such_trace.jsonl"),
+         "no_such_trace.jsonl"},
+        {{{"npuHbmBytes", "64K"}}, "synthetic:footprint=1M",
+         "out of physical memory"},
+        {{{"bufferDepth", "0"}}, tiny, "bufferDepth"},
+        {{{"hostDramBytes", "0"}}, tiny, "hostDramBytes"},
+        {{{"npuHbmBytes", "0"}}, tiny, "npuHbmBytes"},
+        {{{"npu.dmaBurstBytes", "0"}}, tiny, "npu.dmaBurstBytes"},
+        {{{"memory.channels", "0"}}, tiny, "memory.channels"},
+        {{{"memory.bytesPerCycle", "0"}}, tiny, "memory.bytesPerCycle"},
+        {{{"memory.interleaveBytes", "0"}}, tiny,
+         "memory.interleaveBytes"},
+        {{{"mmu.numPtws", "0"}}, tiny, "mmu.numPtws"},
+        {{{"mmu.tlb.entries", "0"}}, tiny, "mmu.tlb: TLB entries"},
+        {{{"pageShift", "0"}}, tiny, "pageShift 0"},
+        {{{"pageShift", "13"}}, tiny, "pageShift 13"},
+        {{{"mmu.design", "range"}, {"mmu.range.entries", "0"}}, tiny,
+         "mmu.range.entries"},
+        {{{"mmu.design", "range"}, {"mmu.range.maxPages", "0"}}, tiny,
+         "mmu.range.maxPages"},
+        {{{"mmu.design", "range"}, {"mmu.range.walkers", "0"}}, tiny,
+         "mmu.range.walkers"},
+        {{{"mmu.design", "pomtlb"}, {"mmu.pom.l1Entries", "0"}}, tiny,
+         "mmu.l1: TLB entries"},
+        {{{"mmu.design", "pomtlb"}, {"mmu.pom.entries", "0"}}, tiny,
+         "mmu.pom.entries"},
+        {{{"mmu.design", "pomtlb"}, {"mmu.pom.ways", "0"}}, tiny,
+         "mmu.pom.ways"},
+        {{{"mmu.design", "pomtlb"}, {"mmu.pom.walkers", "0"}}, tiny,
+         "mmu.pom.walkers"},
+        {{{"mmu.design", "nmt"}, {"mmu.nmt.cacheEntries", "0"}}, tiny,
+         "mmu.nmt.cacheEntries"},
+        {{{"mmu.design", "nmt"}, {"mmu.nmt.units", "0"}}, tiny,
+         "mmu.nmt.units"},
+        {{{"serve.enabled", "1"}, {"serve.tenants", "0"}}, "",
+         "serve.tenants"},
+        {{{"serve.enabled", "1"}, {"serve.window", "0"}}, "",
+         "serve.window"},
+        {{}, "synthetic:accesses=0", "accesses="},
+        {{}, "synthetic:footprint=0", "footprint="},
+        {{}, "synthetic:batch=0", "batch="},
+        {{}, "synthetic:bytes=0", "bytes="},
+        {{}, "dense:model=CNN1,batch=0", "batch="},
+        // Reachable the same way, beyond the zero values.
+        {{{"paging.enabled", "1"}, {"npuHbmBytes", "8K"}},
+         "synthetic:pattern=uniform,paged=1,accesses=4096,"
+         "footprint=16M,batch=64",
+         "paging node exhausted"},
+        {{}, "synthetic:paged=1", "paged=1 needs paging.enabled=1"},
+        {{{"paging.enabled", "1"}, {"paging.residentLimitPages", "1"}},
+         tiny, "paging.residentLimitBytes"},
+        {{{"paging.enabled", "1"}, {"paging.homeNode", "3"}}, tiny,
+         "paging.homeNode"},
+        {{{"serve.enabled", "1"}, {"serve.demandPaged", "1"}}, "",
+         "serve.demandPaged"},
+        {{{"vaScatterShift", "5"}}, tiny, "vaScatterShift"},
+        {{{"mmu.tlb.ways", "3"}}, tiny, "divide evenly into ways"},
+        {{{"numNpus", "300"}}, tiny, "numNpus"},
+        {{{"numNpus", "253"}, {"trace.enabled", "1"}}, tiny,
+         "trace.enabled"},
+    };
+
+    std::vector<sweep::JobSpec> jobs(1);
+    jobs[0].id = "good";
+    jobs[0].workloads = {tiny};
+    for (std::size_t i = 0; i < bad.size(); i++) {
+        sweep::JobSpec job;
+        job.id = "bad" + std::to_string(i);
+        job.overrides = bad[i].set;
+        if (!bad[i].workload.empty())
+            job.workloads = {bad[i].workload};
+        job.limit = 200000;
+        jobs.push_back(std::move(job));
+    }
+    const sweep::SweepResults results =
+        sweep::SweepEngine(sweep::SweepOptions{}).run(jobs);
+
+    ASSERT_EQ(results.jobs.size(), bad.size() + 1);
+    EXPECT_TRUE(results.jobs[0].ok) << results.jobs[0].error;
+    EXPECT_TRUE(results.jobs[0].outcome.allDone);
+    EXPECT_EQ(results.summary.failures, bad.size());
+    for (std::size_t i = 0; i < bad.size(); i++) {
+        const sweep::JobResult &r = results.jobs[i + 1];
+        EXPECT_FALSE(r.ok) << "'" << bad[i].workload << "' ran";
+        EXPECT_NE(r.error.find(bad[i].needle), std::string::npos)
+            << "'" << r.error << "' does not name '" << bad[i].needle
+            << "'";
+    }
+}
+
+TEST(SweepEngine, EveryBinderKeyAtZeroCompletesOrFailsAlone)
+{
+    // Zero is the value most likely to reach a divide, an empty
+    // container or a walker pool of nothing. Each key gets one capped
+    // tiny job; design keys run under their own design and the
+    // serve.*/paging.*/trace.* keys with their layer switched on.
+    std::vector<sweep::JobSpec> jobs;
+    for (const sweep::BinderKeyDoc &doc : sweep::binderKeyTable()) {
+        const std::string key = doc.key;
+        sweep::JobSpec job;
+        job.id = key;
+        job.limit = 200000;
+        job.workloads = {"synthetic:accesses=64,footprint=64K"};
+        const auto under = [&](const char *prefix) {
+            return key.rfind(prefix, 0) == 0;
+        };
+        if (under("mmu.range."))
+            job.overrides = {{"mmu.design", "range"}};
+        else if (under("mmu.pom."))
+            job.overrides = {{"mmu.design", "pomtlb"}};
+        else if (under("mmu.nmt."))
+            job.overrides = {{"mmu.design", "nmt"}};
+        else if (under("mmu.") && key != "mmu.design")
+            job.overrides = {{"mmu.design", "neummu"},
+                             {"mmu.pathCache", "tpc"}};
+        else if (under("serve."))
+            job.overrides = {{"serve.enabled", "1"}};
+        else if (under("paging."))
+            job.overrides = {{"paging.enabled", "1"}};
+        else if (under("trace."))
+            job.overrides = {{"trace.enabled", "1"}};
+        job.overrides.emplace_back(key, "0");
+        jobs.push_back(std::move(job));
+    }
+    sweep::SweepOptions opts;
+    opts.threads = 2;
+    const sweep::SweepResults results = sweep::SweepEngine(opts).run(jobs);
+
+    ASSERT_EQ(results.jobs.size(), jobs.size());
+    unsigned completed = 0;
+    for (const sweep::JobResult &r : results.jobs) {
+        if (r.ok)
+            completed++;
+        else
+            EXPECT_FALSE(r.error.empty()) << r.id;
+    }
+    // Most zeros are legal ("0 = unlimited", "0 = all"): the sweep
+    // runs them, it does not just reject everything.
+    EXPECT_GT(completed, jobs.size() / 2);
 }
 
 TEST(SweepEngine, RepsCrossCheckDeterminism)

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <sstream>
 
+#include "expect_throw.hh"
 #include "system/system.hh"
 
 using namespace neummu;
@@ -132,10 +133,10 @@ TEST(System, StatsJsonDumpContainsLiveCounters)
               std::count(out.begin(), out.end(), '}'));
 }
 
-TEST(SystemDeath, MismatchedPageShiftIsCaught)
+TEST(System, MismatchedPageShiftIsCaught)
 {
     SystemConfig cfg;
     cfg.mmu = baselineIommuConfig(smallPageShift);
     cfg.pageShift = largePageShift;
-    EXPECT_DEATH(System{cfg}, "page size");
+    expectThrowWith<ConfigError>([&] { System{cfg}; }, "page size");
 }

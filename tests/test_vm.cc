@@ -11,7 +11,9 @@
 #include <utility>
 #include <vector>
 
+#include "common/logging.hh"
 #include "common/units.hh"
+#include "expect_throw.hh"
 #include "vm/address_space.hh"
 #include "vm/frame_allocator.hh"
 #include "vm/page_table.hh"
@@ -55,17 +57,15 @@ TEST(FrameAllocator, OwnershipAndCapacity)
     EXPECT_EQ(alloc.remaining(), 512 * KiB);
 }
 
-TEST(FrameAllocatorDeath, OversubscriptionIsFatal)
+TEST(FrameAllocator, OversubscriptionThrows)
 {
     FrameAllocator alloc("node", nodeBase, 64 * KiB);
     // An MMU-less NPU whose working set exceeds physical memory
-    // crashes (Section I); the allocator models that with fatal().
-    EXPECT_DEATH(
-        {
-            FrameAllocator inner("node", nodeBase, 64 * KiB);
-            inner.allocate(128 * KiB, 4096);
-        },
-        "out of physical memory");
+    // crashes (Section I); the allocator models that with a typed
+    // error, so only the job that ran out fails.
+    expectThrowWith<ConfigError>(
+        [&] { alloc.allocate(128 * KiB, 4096); }, "out of physical memory");
+    EXPECT_EQ(alloc.remaining(), 64 * KiB);
 }
 
 TEST(FrameAllocator, TryAllocateFailsNonFatally)
@@ -247,12 +247,15 @@ TEST(FrameAllocator, AdversarialAlignmentCannotWrapTheCursor)
     EXPECT_TRUE(alloc.owns(out));
 }
 
-TEST(FrameAllocatorDeath, WrappingPhysicalRangeIsRejected)
+TEST(FrameAllocator, WrappingOrEmptyPhysicalRangeIsRejected)
 {
     // base + size overflowing 2^64 would make every bounds check in
-    // the allocator meaningless; the constructor refuses it.
-    EXPECT_DEATH(FrameAllocator("wrap", ~Addr(0) - 4096, 2 * MiB),
-                 "wraps");
+    // the allocator meaningless; the constructor refuses it, and an
+    // empty node (hostDramBytes=0) too.
+    expectThrowWith<ConfigError>(
+        [] { FrameAllocator("wrap", ~Addr(0) - 4096, 2 * MiB); }, "wraps");
+    expectThrowWith<ConfigError>([] { FrameAllocator("empty", nodeBase, 0); },
+                                 "empty physical node");
 }
 
 class PageTableTest : public ::testing::Test

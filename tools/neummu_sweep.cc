@@ -44,6 +44,10 @@
  *   --list-keys         print the ConfigBinder key table and exit
  *   --list-workloads    print the workload factory kinds and exit
  *
+ * A job whose config, workload spec or trace file is bad, or whose
+ * machine runs out of memory, fails alone: its error lands in the
+ * report and the merged JSON, and the other jobs run.
+ *
  * Exit codes: 0 success; 1 usage/manifest error (fatal); 2 a
  * requested --json/--csv/--collapsed file or --trace-dir directory
  * could not be written (checked before any job runs); 3 job failures
@@ -60,6 +64,7 @@
 #include <unistd.h>
 
 #include <array>
+#include <climits>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -288,6 +293,20 @@ main(int argc, char **argv)
                      "--grid=SPEC (try --list-keys / "
                      "--list-workloads)");
 
+    // --jobs and --reps follow the manifest's unsigned rule: "-2",
+    // "2x" or "abc" is a usage error before any thread starts, never a
+    // wrapped thread count or a silently truncated rep count.
+    std::uint64_t threads = 1;
+    std::uint64_t reps_override = 0; // 0 keeps each job's own reps
+    try {
+        threads = sweep::parseUint(args.get("jobs", "1"), "--jobs");
+        reps_override = sweep::parseUint(args.get("reps", "0"), "--reps");
+    } catch (const sweep::ManifestError &e) {
+        NEUMMU_FATAL(e.what());
+    }
+    if (threads > UINT_MAX || reps_override > UINT_MAX)
+        NEUMMU_FATAL("--jobs and --reps must be below 2^32");
+
     // Open every requested output before any job runs, so an
     // unwritable path costs nothing but the error.
     const std::string json_path = args.get("json", "");
@@ -318,7 +337,6 @@ main(int argc, char **argv)
         return 2;
     }
 
-    const unsigned threads = unsigned(args.getInt("jobs", 1));
     const bool quiet = args.getBool("quiet", false);
     const bool timing = args.getBool("timing", true);
     const bool serial_baseline =
@@ -339,7 +357,6 @@ main(int argc, char **argv)
                 ? sweep::expandGrid(grid_spec, base)
                 : sweep::loadManifest(manifest_path, base);
 
-        const std::int64_t reps_override = args.getInt("reps", 0);
         for (sweep::JobSpec &job : jobs) {
             if (reps_override > 0)
                 job.reps = unsigned(reps_override);
@@ -359,7 +376,7 @@ main(int argc, char **argv)
         }
 
         sweep::SweepOptions opts;
-        opts.threads = threads;
+        opts.threads = unsigned(threads);
         if (!quiet)
             opts.progress = printProgress;
         sweep::SweepEngine engine(opts);
@@ -367,7 +384,7 @@ main(int argc, char **argv)
             std::printf("sweep: %zu job(s) on %u thread(s)\n",
                         jobs.size(),
                         sweep::SweepEngine::effectiveThreads(
-                            threads, jobs.size()));
+                            unsigned(threads), jobs.size()));
         sweep::SweepResults results = engine.run(jobs);
 
         if (serial_baseline) {
